@@ -8,12 +8,16 @@ This script fails CI when that contract rots:
      lowercase [a-z0-9_], at least three underscore-separated words, and
      the jinfer_ prefix.
   2. No two constants carry the same name string.
-  3. The kind-suffix convention holds at every use site: a constant passed
-     to Registry::counter() ends in _total, one passed to histogram()
-     ends in _nanos, and one passed to gauge() ends in neither (gauges
-     name the level they report). Kinds are inferred from usage under
-     src/, so a constant registered as two different kinds is also caught
-     (the registry aborts on that at runtime; this catches it in review).
+  3. The kind-suffix convention holds at every registration site: a
+     constant passed to Registry::counter() or an OwnedCounter ends in
+     _total, one passed to histogram() ends in _nanos, and one passed to
+     gauge() or an OwnedGauge ends in neither (gauges name the level they
+     report). Calls match with or without the obs:: qualifier. Kinds are
+     inferred from usage under src/, so a constant registered as two
+     different kinds is also caught (the registry aborts on that at
+     runtime; this catches it in review).
+  3b. Every constant in metric_names.h is registered somewhere under src/
+     — a name nothing registers is dead, and its suffix goes unchecked.
   4. No '"jinfer_' string literal appears under src/ outside
      metric_names.h — a metric that is not registered there does not
      exist. bench/ and tests/ are exempt: scratch metrics in benchmarks
@@ -36,7 +40,12 @@ NAME_RE = re.compile(r"^jinfer_[a-z0-9]+(_[a-z0-9]+)+$")
 CONST_RE = re.compile(
     r"inline\s+constexpr\s+char\s+(k\w+)\[\]\s*=\s*\n?\s*\"([^\"]*)\"",
     re.MULTILINE)
-USE_RE = re.compile(r"\b(counter|gauge|histogram)\(\s*obs::(k\w+)\s*\)")
+USE_RE = re.compile(
+    r"\b(counter|gauge|histogram)\(\s*(?:obs::)?(k\w+)\s*\)")
+# Per-owner handles: `obs::OwnedCounter lookups_{obs::kCacheLookupsTotal};`
+# (or parenthesized), possibly wrapping before the name constant.
+OWNED_RE = re.compile(
+    r"\bOwned(Counter|Gauge)\s+\w+\s*[{(]\s*(?:obs::)?(k\w+)")
 LITERAL_RE = re.compile(r"\"jinfer_[^\"]*\"")
 
 KIND_SUFFIX = {
@@ -87,21 +96,30 @@ def main():
             continue
         text = path.read_text()
         rel = path.relative_to(ROOT)
-        for m in USE_RE.finditer(text):
-            kind, ident = m.group(1), m.group(2)
+        uses = [(m.group(1), m.group(2), m.start())
+                for m in USE_RE.finditer(text)]
+        uses += [(m.group(1).lower(), m.group(2), m.start())
+                 for m in OWNED_RE.finditer(text)]
+        for kind, ident, pos in uses:
             if ident not in constants:
                 errors.append(
-                    f"{rel}:{line_of(text, m.start())}: obs::{ident} is "
+                    f"{rel}:{line_of(text, pos)}: obs::{ident} is "
                     f"registered as a {kind} but is not defined in "
                     f"{rel_header}")
                 continue
             kinds.setdefault(ident, {}).setdefault(
-                kind, f"{rel}:{line_of(text, m.start())}")
+                kind, f"{rel}:{line_of(text, pos)}")
         for m in LITERAL_RE.finditer(text):
             errors.append(
                 f"{rel}:{line_of(text, m.start())}: metric name literal "
                 f"{m.group(0)} outside {rel_header} — register it there "
                 "and reference the constant")
+
+    for ident, name in constants.items():
+        if ident not in kinds:
+            errors.append(
+                f"{rel_header}: {ident} = \"{name}\" is registered nowhere "
+                "under src/ — register it or delete it")
 
     for ident, by_kind in sorted(kinds.items()):
         name = constants[ident]

@@ -41,10 +41,10 @@ struct MinimaxMetrics {
 
 /// Publishes one entry point's counter delta plus its wall time as a
 /// histogram sample and a flight-recorder span (detail = nodes visited).
+/// The counters always count; the histogram and span honour the kill
+/// switch themselves.
 void RecordSearch(const MinimaxCounters& before, const MinimaxCounters& after,
                   const util::Stopwatch& watch) {
-#ifndef JINFER_NO_METRICS
-  if (!obs::MetricsEnabled()) return;
   MinimaxMetrics& m = MinimaxMetrics::Get();
   const uint64_t nodes = after.nodes - before.nodes;
   m.searches.Inc();
@@ -61,11 +61,6 @@ void RecordSearch(const MinimaxCounters& before, const MinimaxCounters& after,
   record.detail = nodes;
   record.kind = obs::SpanKind::kMinimaxSearch;
   obs::FlightRecorder::Global().Record(record);
-#else
-  (void)before;
-  (void)after;
-  (void)watch;
-#endif
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "util/check.h"
 
@@ -57,12 +58,29 @@ double HistogramSnapshot::Quantile(double q) const {
 struct Registry::Slot {
   std::string name;
   MetricKind kind;
+  /// Per-owner (Owned handles) rather than process-wide (counter() /
+  /// gauge()). An owned counter slot's `counter` holds the final counts of
+  /// detached handles.
+  bool owned = false;
   // Exactly one engaged, per kind. Separate members keep the metric types
   // copy-free and the slot trivially destroyable in registration order.
   std::unique_ptr<Counter> counter;
   std::unique_ptr<Gauge> gauge;
   std::unique_ptr<Histogram> histogram;
+  // Live owners' cells, per kind.
+  std::vector<const Counter*> owned_counters;
+  std::vector<const Gauge*> owned_gauges;
+
+  std::vector<const Counter*>& live(const Counter*) { return owned_counters; }
+  std::vector<const Gauge*>& live(const Gauge*) { return owned_gauges; }
 };
+
+namespace {
+
+constexpr MetricKind KindOf(const Counter*) { return MetricKind::kCounter; }
+constexpr MetricKind KindOf(const Gauge*) { return MetricKind::kGauge; }
+
+}  // namespace
 
 Registry::Registry() = default;
 Registry::~Registry() = default;
@@ -72,12 +90,15 @@ Registry& Registry::Global() {
   return *registry;
 }
 
-Registry::Slot& Registry::Resolve(std::string_view name, MetricKind kind) {
-  std::lock_guard<std::mutex> lock(mu_);
+Registry::Slot& Registry::Resolve(std::string_view name, MetricKind kind,
+                                  bool owned) {
   for (auto& slot : slots_) {
     if (slot->name == name) {
       JINFER_CHECK(slot->kind == kind,
                    "metric '%s' registered twice with different kinds",
+                   slot->name.c_str());
+      JINFER_CHECK(slot->owned == owned,
+                   "metric '%s' registered both per owner and process-wide",
                    slot->name.c_str());
       return *slot;
     }
@@ -85,6 +106,7 @@ Registry::Slot& Registry::Resolve(std::string_view name, MetricKind kind) {
   auto slot = std::make_unique<Slot>();
   slot->name = std::string(name);
   slot->kind = kind;
+  slot->owned = owned;
   switch (kind) {
     case MetricKind::kCounter:
       slot->counter = std::make_unique<Counter>();
@@ -101,16 +123,55 @@ Registry::Slot& Registry::Resolve(std::string_view name, MetricKind kind) {
 }
 
 Counter& Registry::counter(std::string_view name) {
-  return *Resolve(name, MetricKind::kCounter).counter;
+  std::lock_guard<std::mutex> lock(mu_);
+  return *Resolve(name, MetricKind::kCounter, /*owned=*/false).counter;
 }
 
 Gauge& Registry::gauge(std::string_view name) {
-  return *Resolve(name, MetricKind::kGauge).gauge;
+  std::lock_guard<std::mutex> lock(mu_);
+  return *Resolve(name, MetricKind::kGauge, /*owned=*/false).gauge;
 }
 
 Histogram& Registry::histogram(std::string_view name) {
-  return *Resolve(name, MetricKind::kHistogram).histogram;
+  std::lock_guard<std::mutex> lock(mu_);
+  return *Resolve(name, MetricKind::kHistogram, /*owned=*/false).histogram;
 }
+
+template <typename Metric>
+Registry::Slot& Registry::Attach(std::string_view name, const Metric* cell) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Slot& slot = Resolve(name, KindOf(cell), /*owned=*/true);
+  slot.live(cell).push_back(cell);
+  return slot;
+}
+
+template <typename Metric>
+void Registry::Detach(Slot& slot, const Metric* cell) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto& live = slot.live(cell);
+  live.erase(std::find(live.begin(), live.end(), cell));
+  // A counter's count outlives its owner so the total stays monotone; a
+  // gauge's level is the owner's own and leaves with it.
+  if constexpr (std::is_same_v<Metric, Counter>) {
+    slot.counter->Inc(cell->Value());
+  }
+}
+
+template <typename Metric>
+Owned<Metric>::Owned(std::string_view name, Registry& registry)
+    : registry_(&registry), metric_(std::make_unique<Metric>()) {
+  slot_ = &registry.Attach(name, static_cast<const Metric*>(metric_.get()));
+}
+
+template <typename Metric>
+void Owned<Metric>::Release() {
+  if (metric_ == nullptr) return;  // Moved from.
+  registry_->Detach(*slot_, static_cast<const Metric*>(metric_.get()));
+  metric_.reset();
+}
+
+template class Owned<Counter>;
+template class Owned<Gauge>;
 
 std::vector<MetricSnapshot> Registry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -123,9 +184,11 @@ std::vector<MetricSnapshot> Registry::Snapshot() const {
     switch (slot->kind) {
       case MetricKind::kCounter:
         m.counter = slot->counter->Value();
+        for (const Counter* c : slot->owned_counters) m.counter += c->Value();
         break;
       case MetricKind::kGauge:
         m.gauge = slot->gauge->Value();
+        for (const Gauge* g : slot->owned_gauges) m.gauge += g->Value();
         break;
       case MetricKind::kHistogram:
         m.histogram = slot->histogram->Snapshot();

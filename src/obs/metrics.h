@@ -1,20 +1,29 @@
-// Process-wide metrics registry (DESIGN.md §13): named counters, gauges
-// and log₂-bucketed latency histograms, built for instrumentation inside
-// hot paths.
+// Metrics registry (DESIGN.md §13): named counters, gauges and
+// log₂-bucketed latency histograms, built for instrumentation inside hot
+// paths.
 //
-// Cost discipline — the same one util/failpoint.h proved out for the
-// disarmed fast path:
-//   - Every increment starts with one relaxed atomic load of the global
-//     enable flag; with metrics disabled that load IS the whole cost
-//     (BM_MetricsDisarmed, sub-nanosecond).
-//   - Enabled increments are wait-free: one relaxed fetch_add on a
+// One owner per counter (DESIGN.md §13.1). A subsystem whose stats() the
+// program reads (IndexCache, IndexStore, SessionManager, Server) holds an
+// OwnedCounter / OwnedGauge per figure: its stats() is a snapshot of its
+// own handles, and the registry exposes, per name, the sum over every
+// owner alive plus the final counts of destroyed ones. Process-wide
+// figures with no owning object (minimax search counts, the trace ring's
+// health) register through Registry::counter() / gauge() instead.
+//
+// Cost discipline:
+//   - Increments are wait-free: one relaxed fetch_add on a
 //     cache-line-padded per-thread shard. Threads hash onto kMetricShards
 //     cells, so concurrent writers on different cores never contend on a
 //     line (BM_MetricsCounterInc, single-digit nanoseconds).
 //   - Reads (Value / Snapshot) sum the shards — O(shards), paid only by
-//     the exposition path, never by the instrumented code.
-//   - Compiling with JINFER_NO_METRICS empties every recording method so
-//     the layer costs literally nothing; call sites need no #ifdefs.
+//     stats() and the exposition path, never by the instrumented code.
+//   - Counters and gauges always count: they back stats() and the StatsOk
+//     wire body, so no setting may zero them. The kill switch
+//     (SetMetricsEnabled) and JINFER_NO_METRICS gate only what carries
+//     the measured cost — histograms, LocalHistogram and trace spans. With
+//     metrics disabled a Record is one relaxed load (BM_MetricsDisarmed,
+//     sub-nanosecond); compiled out it is empty, and call sites need no
+//     #ifdefs.
 //
 // Histograms bucket by position of the highest set bit: bucket 0 holds
 // exactly the value 0, bucket b >= 1 holds [2^(b-1), 2^b - 1], 65 buckets
@@ -44,9 +53,10 @@
 namespace jinfer {
 namespace obs {
 
-/// Runtime kill switch, default on. One relaxed load on every record path
-/// — flipping it off reduces the whole obs layer to that load (the
-/// "disarmed" state the bench suite prices).
+/// Runtime kill switch for histograms and spans, default on. One relaxed
+/// load on every record path — flipping it off reduces those to that load
+/// (the "disarmed" state the bench suite prices). Counters and gauges
+/// ignore it.
 bool MetricsEnabled();
 void SetMetricsEnabled(bool enabled);
 
@@ -87,33 +97,22 @@ class Counter {
   Counter& operator=(const Counter&) = delete;
 
   void Inc(uint64_t n = 1) {
-#ifndef JINFER_NO_METRICS
-    if (!MetricsEnabled()) return;
     cells_[ThisThreadShard()].v.fetch_add(n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
 
   uint64_t Value() const {
-#ifndef JINFER_NO_METRICS
     uint64_t total = 0;
     for (const Cell& c : cells_) {
       total += c.v.load(std::memory_order_relaxed);
     }
     return total;
-#else
-    return 0;
-#endif
   }
 
  private:
-#ifndef JINFER_NO_METRICS
   struct alignas(64) Cell {
     std::atomic<uint64_t> v{0};
   };
   Cell cells_[kMetricShards];
-#endif
 };
 
 /// Point-in-time level (open connections, queue depth). Set-dominated, so
@@ -124,36 +123,16 @@ class Gauge {
   Gauge(const Gauge&) = delete;
   Gauge& operator=(const Gauge&) = delete;
 
-  void Set(int64_t v) {
-#ifndef JINFER_NO_METRICS
-    if (!MetricsEnabled()) return;
-    value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
-  }
+  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
 
   void Add(int64_t delta) {
-#ifndef JINFER_NO_METRICS
-    if (!MetricsEnabled()) return;
     value_.fetch_add(delta, std::memory_order_relaxed);
-#else
-    (void)delta;
-#endif
   }
 
-  int64_t Value() const {
-#ifndef JINFER_NO_METRICS
-    return value_.load(std::memory_order_relaxed);
-#else
-    return 0;
-#endif
-  }
+  int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-#ifndef JINFER_NO_METRICS
   std::atomic<int64_t> value_{0};
-#endif
 };
 
 /// Bucket count: bucket 0 (the value 0) plus one per possible bit width.
@@ -348,7 +327,8 @@ struct MetricSnapshot {
 /// every later call for the same name returns the same object, so call
 /// sites cache a `static Counter&` and the steady state never locks.
 /// Returned references live as long as the registry (stable addresses).
-/// Registering one name as two different kinds is a programming error and
+/// Registering one name as two different kinds, or both process-wide
+/// (counter() / gauge()) and per owner (Owned), is a programming error and
 /// aborts.
 class Registry {
  public:
@@ -365,17 +345,74 @@ class Registry {
   Histogram& histogram(std::string_view name);
 
   /// Every registered metric, in registration order (deterministic
-  /// exposition). Values are relaxed reads — a point-in-time view, exact
-  /// once writers quiesce.
+  /// exposition). An owned counter reads the sum over its live handles
+  /// plus the final counts of destroyed ones; an owned gauge, the sum over
+  /// its live handles. Values are relaxed reads — a point-in-time view,
+  /// exact once writers quiesce.
   std::vector<MetricSnapshot> Snapshot() const;
 
  private:
+  template <typename Metric>
+  friend class Owned;
+
   struct Slot;
-  Slot& Resolve(std::string_view name, MetricKind kind);
+  /// Finds or creates the slot for `name`. Caller holds mu_.
+  Slot& Resolve(std::string_view name, MetricKind kind, bool owned);
+
+  /// Attaches an owner's cell under `name`; Detach folds a counter's final
+  /// count into the slot and drops the cell. Both take mu_.
+  template <typename Metric>
+  Slot& Attach(std::string_view name, const Metric* cell);
+  template <typename Metric>
+  void Detach(Slot& slot, const Metric* cell);
 
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Slot>> slots_;
 };
+
+/// One owner's Counter or Gauge under a registry name (DESIGN.md §13.1):
+/// the owner builds one per figure with its object, reads its own share
+/// through `->Value()` for stats(), and records through `->Inc()` /
+/// `->Set()`. Destroying the handle detaches it; a counter's final count
+/// stays in the registry total, a gauge's level leaves with its owner.
+/// Moves carry the heap cell along, so a moved-to owner keeps counting
+/// into the same totals and a moved-from handle is inert. The registry
+/// must outlive its handles (Global() is never destroyed).
+template <typename Metric>
+class Owned {
+ public:
+  explicit Owned(std::string_view name,
+                 Registry& registry = Registry::Global());
+  ~Owned() { Release(); }
+
+  Owned(Owned&& other) noexcept = default;
+  Owned& operator=(Owned&& other) noexcept {
+    if (this != &other) {
+      Release();
+      registry_ = other.registry_;
+      slot_ = other.slot_;
+      metric_ = std::move(other.metric_);
+    }
+    return *this;
+  }
+
+  /// The handle is a reference to its cell, so recording through a const
+  /// owner (IndexStore's const Load/Put) is allowed, as through `Counter&`.
+  Metric* operator->() const { return metric_.get(); }
+
+ private:
+  void Release();
+
+  Registry* registry_;
+  Registry::Slot* slot_;
+  std::unique_ptr<Metric> metric_;
+};
+
+using OwnedCounter = Owned<Counter>;
+using OwnedGauge = Owned<Gauge>;
+
+extern template class Owned<Counter>;
+extern template class Owned<Gauge>;
 
 }  // namespace obs
 }  // namespace jinfer

@@ -71,7 +71,7 @@ class FlightRecorder {
   static FlightRecorder& Global();
 
   /// Wait-free append. A no-op when metrics are disabled (same kill
-  /// switch as the registry) or under JINFER_NO_METRICS.
+  /// switch as histograms) or under JINFER_NO_METRICS.
   void Record(const SpanRecord& record);
 
   /// The retained records in ticket (= chronological claim) order, oldest

@@ -14,50 +14,6 @@
 namespace jinfer {
 namespace runtime {
 
-namespace {
-
-/// Registry handles for the cache's counters. Dual-write discipline
-/// (DESIGN.md §13.1): the per-instance IndexCacheStats under mu_ stays
-/// the source of truth for stats() — every site that bumps a struct field
-/// also bumps the matching global counter, so registry deltas track
-/// struct deltas exactly (asserted in tests/chaos/).
-struct CacheMetrics {
-  obs::Counter& lookups;
-  obs::Counter& hits;
-  obs::Counter& builds;
-  obs::Counter& failures;
-  obs::Counter& mapped_loads;
-  obs::Counter& store_writes;
-  obs::Counter& evictions;
-  obs::Counter& rejected_admissions;
-  obs::Counter& degraded_builds;
-  obs::Counter& fail_fast;
-  obs::Counter& backoff_arms;
-  obs::Histogram& probe_nanos;
-  obs::Histogram& build_nanos;
-
-  static CacheMetrics& Get() {
-    static CacheMetrics* m = new CacheMetrics{
-        obs::Registry::Global().counter(obs::kCacheLookupsTotal),
-        obs::Registry::Global().counter(obs::kCacheHitsTotal),
-        obs::Registry::Global().counter(obs::kCacheBuildsTotal),
-        obs::Registry::Global().counter(obs::kCacheFailuresTotal),
-        obs::Registry::Global().counter(obs::kCacheMappedLoadsTotal),
-        obs::Registry::Global().counter(obs::kCacheStoreWritesTotal),
-        obs::Registry::Global().counter(obs::kCacheEvictionsTotal),
-        obs::Registry::Global().counter(obs::kCacheRejectedAdmissionsTotal),
-        obs::Registry::Global().counter(obs::kCacheDegradedBuildsTotal),
-        obs::Registry::Global().counter(obs::kCacheFailFastTotal),
-        obs::Registry::Global().counter(obs::kCacheBackoffArmsTotal),
-        obs::Registry::Global().histogram(obs::kCacheProbeNanos),
-        obs::Registry::Global().histogram(obs::kCacheBuildNanos),
-    };
-    return *m;
-  }
-};
-
-}  // namespace
-
 const char* IndexTierName(IndexTier tier) {
   switch (tier) {
     case IndexTier::kMemory: return "memory";
@@ -75,9 +31,10 @@ IndexCache::GetOrBuild(const rel::Relation& r, const rel::Relation& p) {
 
 util::Result<TieredIndex> IndexCache::GetOrBuildTiered(
     const rel::Relation& r, const rel::Relation& p) {
-  CacheMetrics& metrics = CacheMetrics::Get();
+  static obs::Histogram& probe_nanos =
+      obs::Registry::Global().histogram(obs::kCacheProbeNanos);
   obs::ScopedSpan probe_span(obs::SpanKind::kCacheProbe, /*trace_id=*/0,
-                             &metrics.probe_nanos);
+                             &probe_nanos);
   const InstanceFingerprint key =
       FingerprintInstance(r, p, options_.build.compress);
 
@@ -87,15 +44,13 @@ util::Result<TieredIndex> IndexCache::GetOrBuildTiered(
   uint64_t my_id;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    ++stats_.lookups;
-    metrics.lookups.Inc();
+    lookups_->Inc();
     // Every lookup feeds the admission sketch, hits included: residency
     // decisions compare true access frequencies, not miss frequencies.
     sketch_.Increment(SketchKey(key));
     auto it = entries_.find(key);
     if (it != entries_.end()) {
-      ++stats_.hits;
-      metrics.hits.Inc();
+      hits_->Inc();
       std::shared_future<BuildOutcome> future = it->second.future;
       lock.unlock();
       // Blocks iff the resolution is still in flight.
@@ -108,8 +63,7 @@ util::Result<TieredIndex> IndexCache::GetOrBuildTiered(
     auto failed = failures_.find(key);
     if (failed != failures_.end() &&
         clock().NowNanos() < failed->second.retry_after_nanos) {
-      ++stats_.fail_fast;
-      metrics.fail_fast.Inc();
+      fail_fast_->Inc();
       return util::Status::Unavailable(util::StrFormat(
           "index resolution for fingerprint %s backing off after %u "
           "transient failure(s)",
@@ -146,8 +100,10 @@ util::Result<TieredIndex> IndexCache::GetOrBuildTiered(
   if (!store_hit) {
     util::Result<core::SignatureIndex> built =
         [&]() -> util::Result<core::SignatureIndex> {
+      static obs::Histogram& build_nanos =
+          obs::Registry::Global().histogram(obs::kCacheBuildNanos);
       obs::ScopedSpan build_span(obs::SpanKind::kIndexBuild, /*trace_id=*/0,
-                                 &metrics.build_nanos);
+                                 &build_nanos);
       util::Status injected = util::FailpointHit("cache.build");
       if (!injected.ok()) return injected;
       return core::SignatureIndex::Build(r, p, options_.build);
@@ -169,10 +125,8 @@ util::Result<TieredIndex> IndexCache::GetOrBuildTiered(
       std::lock_guard<std::mutex> lock(mu_);
       // A failed outcome is always a failed build: a store-load failure
       // falls through to the build path above rather than surfacing.
-      ++stats_.builds;
-      ++stats_.failures;
-      metrics.builds.Inc();
-      metrics.failures.Inc();
+      builds_->Inc();
+      failures_total_->Inc();
       if (options_.failure_backoff_base.count() > 0 &&
           util::IsTransient(outcome.status())) {
         FailureState& state = failures_[key];
@@ -188,8 +142,7 @@ util::Result<TieredIndex> IndexCache::GetOrBuildTiered(
             static_cast<uint64_t>(
                 std::chrono::duration_cast<std::chrono::nanoseconds>(window)
                     .count());
-        ++stats_.backoff_arms;
-        metrics.backoff_arms.Inc();
+        backoff_arms_->Inc();
       }
       auto it = entries_.find(key);
       if (it != entries_.end() && it->second.id == my_id) entries_.erase(it);
@@ -207,19 +160,11 @@ util::Result<TieredIndex> IndexCache::GetOrBuildTiered(
     std::lock_guard<std::mutex> lock(mu_);
     failures_.erase(key);  // Success closes any backoff window.
     if (store_hit) {
-      ++stats_.mapped_loads;
-      metrics.mapped_loads.Inc();
+      mapped_loads_->Inc();
     } else {
-      ++stats_.builds;
-      metrics.builds.Inc();
-      if (degraded) {
-        ++stats_.degraded_builds;
-        metrics.degraded_builds.Inc();
-      }
-      if (persisted) {
-        ++stats_.store_writes;
-        metrics.store_writes.Inc();
-      }
+      builds_->Inc();
+      if (degraded) degraded_builds_->Inc();
+      if (persisted) store_writes_->Inc();
     }
     auto it = entries_.find(key);
     if (it != entries_.end() && it->second.id == my_id) {
@@ -258,14 +203,12 @@ void IndexCache::EnforceCapacityLocked(const InstanceFingerprint& key,
   }
   if (victim != entries_.end() && newcomer_freq > victim_freq) {
     entries_.erase(victim);
-    ++stats_.evictions;
-    CacheMetrics::Get().evictions.Inc();
+    evictions_->Inc();
   } else {
     auto self = entries_.find(key);
     if (self != entries_.end() && self->second.id == id) {
       entries_.erase(self);
-      ++stats_.rejected_admissions;
-      CacheMetrics::Get().rejected_admissions.Inc();
+      rejected_admissions_->Inc();
     }
   }
 }
@@ -277,7 +220,19 @@ size_t IndexCache::size() const {
 
 IndexCacheStats IndexCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  IndexCacheStats out;
+  out.lookups = lookups_->Value();
+  out.hits = hits_->Value();
+  out.builds = builds_->Value();
+  out.failures = failures_total_->Value();
+  out.mapped_loads = mapped_loads_->Value();
+  out.store_writes = store_writes_->Value();
+  out.evictions = evictions_->Value();
+  out.rejected_admissions = rejected_admissions_->Value();
+  out.degraded_builds = degraded_builds_->Value();
+  out.fail_fast = fail_fast_->Value();
+  out.backoff_arms = backoff_arms_->Value();
+  return out;
 }
 
 void IndexCache::Clear() {

@@ -51,6 +51,8 @@
 #include <unordered_map>
 
 #include "core/signature_index.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "relational/relation.h"
 #include "store/fingerprint.h"
 #include "store/index_store.h"
@@ -235,7 +237,20 @@ class IndexCache {
       failures_;
   util::FrequencySketch sketch_;
   uint64_t next_id_ = 0;
-  IndexCacheStats stats_;
+
+  // The IndexCacheStats figures: this cache's own registry handles
+  // (DESIGN.md §13.1), bumped under mu_ so stats() reads them consistently.
+  obs::OwnedCounter lookups_{obs::kCacheLookupsTotal};
+  obs::OwnedCounter hits_{obs::kCacheHitsTotal};
+  obs::OwnedCounter builds_{obs::kCacheBuildsTotal};
+  obs::OwnedCounter failures_total_{obs::kCacheFailuresTotal};
+  obs::OwnedCounter mapped_loads_{obs::kCacheMappedLoadsTotal};
+  obs::OwnedCounter store_writes_{obs::kCacheStoreWritesTotal};
+  obs::OwnedCounter evictions_{obs::kCacheEvictionsTotal};
+  obs::OwnedCounter rejected_admissions_{obs::kCacheRejectedAdmissionsTotal};
+  obs::OwnedCounter degraded_builds_{obs::kCacheDegradedBuildsTotal};
+  obs::OwnedCounter fail_fast_{obs::kCacheFailFastTotal};
+  obs::OwnedCounter backoff_arms_{obs::kCacheBackoffArmsTotal};
 };
 
 }  // namespace runtime

@@ -22,41 +22,6 @@ namespace runtime {
 
 namespace {
 
-/// Registry handles for the manager's counters, dual-written beside the
-/// per-instance Stats struct (DESIGN.md §13.1). The struct under stats_mu_
-/// stays the source of truth for stats(); the registry mirrors its deltas
-/// exactly (asserted in tests/chaos/metrics_chaos_test.cc).
-struct ManagerMetrics {
-  obs::Counter& completed;
-  obs::Counter& failed;
-  obs::Counter& shed;
-  obs::Counter& deadline_exceeded;
-  obs::Counter& factory_retries;
-  obs::Counter& slice_faults;
-  obs::Counter& hosted_opened;
-  obs::Counter& hosted_closed;
-  obs::Counter& hosted_aborted;
-  obs::Counter& hosted_reaped;
-  obs::Counter& hosted_shed;
-
-  static ManagerMetrics& Get() {
-    static ManagerMetrics* m = new ManagerMetrics{
-        obs::Registry::Global().counter(obs::kManagerCompletedTotal),
-        obs::Registry::Global().counter(obs::kManagerFailedTotal),
-        obs::Registry::Global().counter(obs::kManagerShedTotal),
-        obs::Registry::Global().counter(obs::kManagerDeadlineExceededTotal),
-        obs::Registry::Global().counter(obs::kManagerFactoryRetriesTotal),
-        obs::Registry::Global().counter(obs::kManagerSliceFaultsTotal),
-        obs::Registry::Global().counter(obs::kManagerHostedOpenedTotal),
-        obs::Registry::Global().counter(obs::kManagerHostedClosedTotal),
-        obs::Registry::Global().counter(obs::kManagerHostedAbortedTotal),
-        obs::Registry::Global().counter(obs::kManagerHostedReapedTotal),
-        obs::Registry::Global().counter(obs::kManagerHostedShedTotal),
-    };
-    return *m;
-  }
-};
-
 /// Shared scheduler state: a ready queue of job indices plus the count of
 /// jobs not yet finished. A job index is in exactly one place at a time —
 /// the queue, a worker's hands, or retired — so no per-job locking is
@@ -136,11 +101,8 @@ std::vector<util::Result<core::InferenceResult>> SessionManager::RunAll(
               "job %zu shed: ready queue bounded at %zu, %zu submitted",
               i, options_.max_queue, n)));
     }
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.shed += n - admitted;
-    stats_.failed += n - admitted;
-    ManagerMetrics::Get().shed.Inc(n - admitted);
-    ManagerMetrics::Get().failed.Inc(n - admitted);
+    shed_->Inc(n - admitted);
+    failed_->Inc(n - admitted);
   }
 
   Scheduler scheduler;
@@ -169,13 +131,8 @@ std::vector<util::Result<core::InferenceResult>> SessionManager::RunAll(
                 "job %zu cancelled at slice boundary: %s deadline expired",
                 i, run_deadline.expired() ? "run" : "job")));
         sessions[i].reset();
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++stats_.deadline_exceeded;
-          ++stats_.failed;
-          ManagerMetrics::Get().deadline_exceeded.Inc();
-          ManagerMetrics::Get().failed.Inc();
-        }
+        deadline_exceeded_->Inc();
+        failed_->Inc();
         // The dump names the span that ate the budget — the diagnosis a
         // deadline page needs first (DESIGN.md §13.2).
         obs::EmitFlightDump(util::StrFormat(
@@ -190,11 +147,7 @@ std::vector<util::Result<core::InferenceResult>> SessionManager::RunAll(
       // perturb only the interleaving — exactly what the determinism
       // contract says cannot change transcripts.
       if (!util::FailpointHit("manager.step").ok()) {
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++stats_.slice_faults;
-          ManagerMetrics::Get().slice_faults.Inc();
-        }
+        slice_faults_->Inc();
         scheduler.Requeue(i);
         continue;
       }
@@ -218,20 +171,12 @@ std::vector<util::Result<core::InferenceResult>> SessionManager::RunAll(
             // requeue: the job deadline, checked above, bounds unlimited
             // policies.
             std::this_thread::sleep_for(factory_backoff[i]->Next());
-            {
-              std::lock_guard<std::mutex> lock(stats_mu_);
-              ++stats_.factory_retries;
-              ManagerMetrics::Get().factory_retries.Inc();
-            }
+            factory_retries_->Inc();
             scheduler.Requeue(i);
             continue;
           }
           slots[i] = made.status();
-          {
-            std::lock_guard<std::mutex> lock(stats_mu_);
-            ++stats_.failed;
-            ManagerMetrics::Get().failed.Inc();
-          }
+          failed_->Inc();
           scheduler.Retire();
           continue;
         }
@@ -261,16 +206,7 @@ std::vector<util::Result<core::InferenceResult>> SessionManager::RunAll(
                        ? util::Result<core::InferenceResult>(session.Result())
                        : util::Result<core::InferenceResult>(error);
         sessions[i].reset();
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          if (error.ok()) {
-            ++stats_.completed;
-            ManagerMetrics::Get().completed.Inc();
-          } else {
-            ++stats_.failed;
-            ManagerMetrics::Get().failed.Inc();
-          }
-        }
+        (error.ok() ? completed_ : failed_)->Inc();
         scheduler.Retire();
       } else {
         scheduler.Requeue(i);
@@ -303,9 +239,7 @@ util::Result<uint64_t> SessionManager::OpenHosted(
     std::lock_guard<std::mutex> lock(hosted_mu_);
     if (options_.max_sessions > 0 &&
         hosted_.size() + hosted_opening_ >= options_.max_sessions) {
-      std::lock_guard<std::mutex> stats_lock(stats_mu_);
-      ++stats_.hosted_shed;
-      ManagerMetrics::Get().hosted_shed.Inc();
+      hosted_shed_->Inc();
       return util::Status::ResourceExhausted(util::StrFormat(
           "session shed: %zu hosted sessions open, bounded at %zu",
           hosted_.size() + hosted_opening_, options_.max_sessions));
@@ -324,11 +258,7 @@ util::Result<uint64_t> SessionManager::OpenHosted(
   JINFER_CHECK(inserted, "hosted id %llu reused",
                static_cast<unsigned long long>(id));
   it->second.last_touch_nanos = clock().NowNanos();
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.hosted_opened;
-    ManagerMetrics::Get().hosted_opened.Inc();
-  }
+  hosted_opened_->Inc();
   return id;
 }
 
@@ -357,9 +287,7 @@ void SessionManager::ReleaseHosted(uint64_t id) {
   it->second.last_touch_nanos = clock().NowNanos();
   if (it->second.aborted) {
     hosted_.erase(it);
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.hosted_aborted;
-    ManagerMetrics::Get().hosted_aborted.Inc();
+    hosted_aborted_->Inc();
   }
 }
 
@@ -376,11 +304,7 @@ util::Result<core::InferenceResult> SessionManager::CloseHosted(uint64_t id) {
   }
   core::InferenceResult result = it->second.session.Result();
   hosted_.erase(it);
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.hosted_closed;
-    ManagerMetrics::Get().hosted_closed.Inc();
-  }
+  hosted_closed_->Inc();
   return result;
 }
 
@@ -397,11 +321,7 @@ util::Status SessionManager::AbortHosted(uint64_t id) {
     return util::Status::OK();
   }
   hosted_.erase(it);
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.hosted_aborted;
-    ManagerMetrics::Get().hosted_aborted.Inc();
-  }
+  hosted_aborted_->Inc();
   return util::Status::OK();
 }
 
@@ -420,11 +340,7 @@ size_t SessionManager::ReapIdleHosted(std::chrono::nanoseconds max_idle) {
       ++it;
     }
   }
-  if (reaped > 0) {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    stats_.hosted_reaped += reaped;
-    ManagerMetrics::Get().hosted_reaped.Inc(reaped);
-  }
+  hosted_reaped_->Inc(reaped);
   return reaped;
 }
 
@@ -435,11 +351,18 @@ size_t SessionManager::hosted_open() const {
 
 SessionManager::Stats SessionManager::stats() const {
   Stats out;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    out = stats_;
-  }
+  out.completed = completed_->Value();
+  out.failed = failed_->Value();
+  out.shed = shed_->Value();
+  out.deadline_exceeded = deadline_exceeded_->Value();
+  out.factory_retries = factory_retries_->Value();
+  out.slice_faults = slice_faults_->Value();
   out.degraded_serves = cache_.stats().degraded_builds;
+  out.hosted_opened = hosted_opened_->Value();
+  out.hosted_closed = hosted_closed_->Value();
+  out.hosted_aborted = hosted_aborted_->Value();
+  out.hosted_reaped = hosted_reaped_->Value();
+  out.hosted_shed = hosted_shed_->Value();
   return out;
 }
 

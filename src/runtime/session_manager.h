@@ -48,6 +48,8 @@
 
 #include "core/inference.h"
 #include "core/oracle.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "runtime/index_cache.h"
 #include "runtime/session.h"
 #include "util/result.h"
@@ -234,8 +236,21 @@ class SessionManager {
 
   Options options_;
   IndexCache cache_;
-  mutable std::mutex stats_mu_;
-  Stats stats_;
+
+  // The Stats figures: this manager's own registry handles (DESIGN.md
+  // §13.1), bumped wait-free from workers and hosted callers alike.
+  obs::OwnedCounter completed_{obs::kManagerCompletedTotal};
+  obs::OwnedCounter failed_{obs::kManagerFailedTotal};
+  obs::OwnedCounter shed_{obs::kManagerShedTotal};
+  obs::OwnedCounter deadline_exceeded_{obs::kManagerDeadlineExceededTotal};
+  obs::OwnedCounter factory_retries_{obs::kManagerFactoryRetriesTotal};
+  obs::OwnedCounter slice_faults_{obs::kManagerSliceFaultsTotal};
+  obs::OwnedCounter hosted_opened_{obs::kManagerHostedOpenedTotal};
+  obs::OwnedCounter hosted_closed_{obs::kManagerHostedClosedTotal};
+  obs::OwnedCounter hosted_aborted_{obs::kManagerHostedAbortedTotal};
+  obs::OwnedCounter hosted_reaped_{obs::kManagerHostedReapedTotal};
+  obs::OwnedCounter hosted_shed_{obs::kManagerHostedShedTotal};
+
   mutable std::mutex hosted_mu_;
   std::unordered_map<uint64_t, Hosted> hosted_;
   uint64_t next_hosted_id_ = 1;

@@ -22,42 +22,6 @@ namespace server {
 
 namespace {
 
-/// Registry handles for the server's counters and gauges, dual-written
-/// beside the StatsOkBody counter struct under stats_mu_ (DESIGN.md §13.1).
-/// Gauges are refreshed by the event loop, which owns the figures.
-struct ServerMetrics {
-  obs::Counter& connections_accepted;
-  obs::Counter& frames_read;
-  obs::Counter& frames_written;
-  obs::Counter& protocol_errors;
-  obs::Counter& deadline_closes;
-  obs::Counter& work_shed;
-  obs::Gauge& connections_open;
-  obs::Gauge& sessions_open;
-  obs::Gauge& pending_work;
-  obs::Histogram& frame_decode_nanos;
-  obs::Histogram& frame_queue_nanos;
-  obs::Histogram& frame_execute_nanos;
-
-  static ServerMetrics& Get() {
-    static ServerMetrics* m = new ServerMetrics{
-        obs::Registry::Global().counter(obs::kServerConnectionsAcceptedTotal),
-        obs::Registry::Global().counter(obs::kServerFramesReadTotal),
-        obs::Registry::Global().counter(obs::kServerFramesWrittenTotal),
-        obs::Registry::Global().counter(obs::kServerProtocolErrorsTotal),
-        obs::Registry::Global().counter(obs::kServerDeadlineClosesTotal),
-        obs::Registry::Global().counter(obs::kServerWorkShedTotal),
-        obs::Registry::Global().gauge(obs::kServerConnectionsOpen),
-        obs::Registry::Global().gauge(obs::kServerSessionsOpen),
-        obs::Registry::Global().gauge(obs::kServerPendingWork),
-        obs::Registry::Global().histogram(obs::kServerFrameDecodeNanos),
-        obs::Registry::Global().histogram(obs::kServerFrameQueueNanos),
-        obs::Registry::Global().histogram(obs::kServerFrameExecuteNanos),
-    };
-    return *m;
-  }
-};
-
 /// "Name: attr=value, attr=value" — the CLI's question rendering, shared
 /// verbatim so the remote UX matches the local one.
 std::string RenderTuple(const rel::Relation& rel, size_t row) {
@@ -141,10 +105,12 @@ util::Status Server::Wait() {
 
 StatsOkBody Server::Stats() {
   StatsOkBody out;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    out = stats_;
-  }
+  out.connections_accepted = connections_accepted_->Value();
+  out.connections_open = static_cast<uint64_t>(connections_open_->Value());
+  out.frames_read = frames_read_->Value();
+  out.frames_written = frames_written_->Value();
+  out.protocol_errors = protocol_errors_->Value();
+  out.deadline_closes = deadline_closes_->Value();
   const runtime::SessionManager::Stats m = manager_.stats();
   out.sessions_opened = m.hosted_opened;
   out.sessions_open = manager_.hosted_open();
@@ -273,17 +239,7 @@ void Server::EventLoop() {
     // Gauge refresh on every loop round (the idle heartbeat bounds the
     // staleness at ~500 ms): the event thread owns these figures, so the
     // scrape path never has to take its locks.
-    {
-      ServerMetrics& metrics = ServerMetrics::Get();
-      metrics.sessions_open.Set(
-          static_cast<int64_t>(manager_.hosted_open()));
-      size_t pending;
-      {
-        std::lock_guard<std::mutex> lock(work_mu_);
-        pending = work_.size();
-      }
-      metrics.pending_work.Set(static_cast<int64_t>(pending));
-    }
+    RefreshGauges();
     ApplyCompletions();
     if (accepting && pfds[listener_slot].revents != 0) AcceptPending();
     for (size_t i = conn_base; i < pfds.size(); ++i) {
@@ -310,6 +266,17 @@ void Server::EventLoop() {
   for (const auto& [fd, conn] : conns_) fds.push_back(fd);
   for (int fd : fds) CloseConn(fd, /*abort_session=*/true);
   listener_->Close();
+  RefreshGauges();  // A stopped server reports no open sessions or work.
+}
+
+void Server::RefreshGauges() {
+  sessions_open_->Set(static_cast<int64_t>(manager_.hosted_open()));
+  size_t pending;
+  {
+    std::lock_guard<std::mutex> lock(work_mu_);
+    pending = work_.size();
+  }
+  pending_work_->Set(static_cast<int64_t>(pending));
 }
 
 void Server::AcceptPending() {
@@ -321,12 +288,8 @@ void Server::AcceptPending() {
     conns_.emplace(fd, std::make_unique<Connection>(
                            std::move(*sock), next_generation_++,
                            options_.limits));
-    ServerMetrics::Get().connections_accepted.Inc();
-    ServerMetrics::Get().connections_open.Set(
-        static_cast<int64_t>(conns_.size()));
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.connections_accepted;
-    stats_.connections_open = conns_.size();
+    connections_accepted_->Inc();
+    connections_open_->Set(static_cast<int64_t>(conns_.size()));
   }
 }
 
@@ -337,9 +300,7 @@ bool Server::EnqueueOrClose(Connection& conn, std::vector<uint8_t> bytes) {
     CloseConn(fd, /*abort_session=*/true);
     return false;
   }
-  ServerMetrics::Get().frames_written.Inc();
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.frames_written;
+  frames_written_->Inc();
   return true;
 }
 
@@ -361,11 +322,7 @@ void Server::HandleReadable(Connection& conn) {
   if (!ev.ok()) {
     if (ev.status().code() == util::StatusCode::kParseError) {
       // Malformed framing: say why (typed error frame), then close.
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.protocol_errors;
-        ServerMetrics::Get().protocol_errors.Inc();
-      }
+      protocol_errors_->Inc();
       SendErrorAndClose(conn, ev.status(), 0);
     } else {
       // Broken socket, or an injected read/decode fault: this connection
@@ -384,17 +341,9 @@ void Server::HandleReadable(Connection& conn) {
       break;
   }
 
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.frames_read;
-    ServerMetrics::Get().frames_read.Inc();
-  }
+  frames_read_->Inc();
   if (!IsRequestType(static_cast<uint8_t>(ev->frame.type))) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.protocol_errors;
-      ServerMetrics::Get().protocol_errors.Inc();
-    }
+    protocol_errors_->Inc();
     SendErrorAndClose(
         conn, util::Status::ParseError("response-type frame from client"), 0);
     return;
@@ -418,7 +367,7 @@ void Server::HandleReadable(Connection& conn) {
     }
   }
   if (shed) {
-    ServerMetrics::Get().work_shed.Inc();
+    work_shed_->Inc();
     EnqueueOrClose(conn,
                    ErrorFrame(util::Status::ResourceExhausted(
                                   "server overloaded; retry later"),
@@ -488,11 +437,7 @@ void Server::SweepDeadlines() {
     Connection& conn = *it->second;
     const char* reason = conn.ExpiredReason();
     if (reason == nullptr) continue;
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.deadline_closes;
-      ServerMetrics::Get().deadline_closes.Inc();
-    }
+    deadline_closes_->Inc();
     // Name the span that ate the budget, filtered to this tenant's trace
     // when the connection has a bound session (DESIGN.md §13.2).
     obs::EmitFlightDump(
@@ -516,10 +461,7 @@ void Server::CloseConn(int fd, bool abort_session) {
     std::lock_guard<std::mutex> lock(render_mu_);
     render_.erase(session);
   }
-  ServerMetrics::Get().connections_open.Set(
-      static_cast<int64_t>(conns_.size()));
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  stats_.connections_open = conns_.size();
+  connections_open_->Set(static_cast<int64_t>(conns_.size()));
 }
 
 // ---------------------------------------------------------------------------
@@ -540,11 +482,12 @@ void Server::WorkerLoop() {
     // from the timestamps already taken, not a ScopedSpan, because the
     // waiting happened on no one's stack.
     {
-      ServerMetrics& metrics = ServerMetrics::Get();
+      static obs::Histogram& queue_nanos =
+          obs::Registry::Global().histogram(obs::kServerFrameQueueNanos);
       const uint64_t now = util::SystemClock()->NowNanos();
       const uint64_t waited =
           now > work.enqueue_nanos ? now - work.enqueue_nanos : 0;
-      metrics.frame_queue_nanos.Record(waited);
+      queue_nanos.Record(waited);
       obs::SpanRecord queued;
       queued.trace_id = work.conn_session;
       queued.start_nanos = work.enqueue_nanos;
@@ -555,9 +498,10 @@ void Server::WorkerLoop() {
     }
     Completion done;
     {
-      obs::ScopedSpan execute_span(
-          obs::SpanKind::kFrameExecute, work.conn_session,
-          &ServerMetrics::Get().frame_execute_nanos);
+      static obs::Histogram& execute_nanos =
+          obs::Registry::Global().histogram(obs::kServerFrameExecuteNanos);
+      obs::ScopedSpan execute_span(obs::SpanKind::kFrameExecute,
+                                   work.conn_session, &execute_nanos);
       execute_span.set_detail(static_cast<uint64_t>(work.frame.type));
       done = HandleFrame(std::move(work));
     }
@@ -605,9 +549,7 @@ Server::Completion Server::HandleOpenSession(const Work& work) {
   Completion c = Base(work);
   auto body = DecodeOpenSession(std::span<const uint8_t>(work.frame.payload));
   if (!body.ok()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.protocol_errors;
-    ServerMetrics::Get().protocol_errors.Inc();
+    protocol_errors_->Inc();
     c.bytes = ErrorFrame(body.status(), kErrorFlagWillClose);
     c.close_after = true;
     return c;
@@ -698,11 +640,7 @@ Server::Completion Server::HandleOpenSession(const Work& work) {
 #define JINFER_SERVER_CHECK_OWNERSHIP(c, work, session_id)                 \
   do {                                                                     \
     if ((session_id) == 0 || (session_id) != (work).conn_session) {        \
-      {                                                                    \
-        std::lock_guard<std::mutex> lock(stats_mu_);                       \
-        ++stats_.protocol_errors;                                          \
-        ServerMetrics::Get().protocol_errors.Inc();                        \
-      }                                                                    \
+      protocol_errors_->Inc();                                             \
       (c).bytes = ErrorFrame(                                              \
           util::Status::FailedPrecondition(                                \
               "frame names a session this connection does not own"),       \
@@ -716,9 +654,7 @@ Server::Completion Server::HandleNextQuestion(const Work& work) {
   Completion c = Base(work);
   auto body = DecodeNextQuestion(std::span<const uint8_t>(work.frame.payload));
   if (!body.ok()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.protocol_errors;
-    ServerMetrics::Get().protocol_errors.Inc();
+    protocol_errors_->Inc();
     c.bytes = ErrorFrame(body.status(), kErrorFlagWillClose);
     c.close_after = true;
     return c;
@@ -763,9 +699,7 @@ Server::Completion Server::HandleAnswer(const Work& work) {
   Completion c = Base(work);
   auto body = DecodeAnswer(std::span<const uint8_t>(work.frame.payload));
   if (!body.ok()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.protocol_errors;
-    ServerMetrics::Get().protocol_errors.Inc();
+    protocol_errors_->Inc();
     c.bytes = ErrorFrame(body.status(), kErrorFlagWillClose);
     c.close_after = true;
     return c;
@@ -806,9 +740,7 @@ Server::Completion Server::HandleCloseSession(const Work& work) {
   auto body =
       DecodeCloseSession(std::span<const uint8_t>(work.frame.payload));
   if (!body.ok()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.protocol_errors;
-    ServerMetrics::Get().protocol_errors.Inc();
+    protocol_errors_->Inc();
     c.bytes = ErrorFrame(body.status(), kErrorFlagWillClose);
     c.close_after = true;
     return c;
@@ -852,9 +784,7 @@ Server::Completion Server::HandleStats(const Work& work) {
   Completion c = Base(work);
   auto body = DecodeStats(std::span<const uint8_t>(work.frame.payload));
   if (!body.ok()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.protocol_errors;
-    ServerMetrics::Get().protocol_errors.Inc();
+    protocol_errors_->Inc();
     c.bytes = ErrorFrame(body.status(), kErrorFlagWillClose);
     c.close_after = true;
     return c;
@@ -867,9 +797,7 @@ Server::Completion Server::HandleMetrics(const Work& work) {
   Completion c = Base(work);
   auto body = DecodeMetrics(std::span<const uint8_t>(work.frame.payload));
   if (!body.ok()) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.protocol_errors;
-    ServerMetrics::Get().protocol_errors.Inc();
+    protocol_errors_->Inc();
     c.bytes = ErrorFrame(body.status(), kErrorFlagWillClose);
     c.close_after = true;
     return c;

@@ -44,6 +44,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "relational/relation.h"
 #include "runtime/session_manager.h"
 #include "server/connection.h"
@@ -157,6 +159,7 @@ class Server {
   void ApplyCompletions();
   void SweepDeadlines();
   void CloseConn(int fd, bool abort_session);
+  void RefreshGauges();
   void SendErrorAndClose(Connection& conn, const util::Status& status,
                          uint8_t extra_flags);
   bool EnqueueOrClose(Connection& conn, std::vector<uint8_t> bytes);
@@ -207,9 +210,19 @@ class Server {
   std::mutex render_mu_;
   std::unordered_map<uint64_t, RenderData> render_;
 
-  // Server-level counters (event thread + workers).
-  mutable std::mutex stats_mu_;
-  StatsOkBody stats_;
+  // Server-level figures (event thread + workers): this server's own
+  // registry handles (DESIGN.md §13.1), so two servers in one process
+  // each report their own and the exposition reads their sum.
+  obs::OwnedCounter connections_accepted_{
+      obs::kServerConnectionsAcceptedTotal};
+  obs::OwnedCounter frames_read_{obs::kServerFramesReadTotal};
+  obs::OwnedCounter frames_written_{obs::kServerFramesWrittenTotal};
+  obs::OwnedCounter protocol_errors_{obs::kServerProtocolErrorsTotal};
+  obs::OwnedCounter deadline_closes_{obs::kServerDeadlineClosesTotal};
+  obs::OwnedCounter work_shed_{obs::kServerWorkShedTotal};
+  obs::OwnedGauge connections_open_{obs::kServerConnectionsOpen};
+  obs::OwnedGauge sessions_open_{obs::kServerSessionsOpen};
+  obs::OwnedGauge pending_work_{obs::kServerPendingWork};
 };
 
 }  // namespace server

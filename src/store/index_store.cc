@@ -25,37 +25,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Registry handles for the store's counters, dual-written beside the
-/// per-instance IndexStoreStats (DESIGN.md §13.1).
-struct StoreMetrics {
-  obs::Counter& loads;
-  obs::Counter& load_hits;
-  obs::Counter& load_misses;
-  obs::Counter& writes;
-  obs::Counter& skipped_writes;
-  obs::Counter& quarantined;
-  obs::Counter& put_retries;
-  obs::Counter& load_retries;
-  obs::Histogram& load_nanos;
-  obs::Histogram& put_nanos;
-
-  static StoreMetrics& Get() {
-    static StoreMetrics* m = new StoreMetrics{
-        obs::Registry::Global().counter(obs::kStoreLoadsTotal),
-        obs::Registry::Global().counter(obs::kStoreLoadHitsTotal),
-        obs::Registry::Global().counter(obs::kStoreLoadMissesTotal),
-        obs::Registry::Global().counter(obs::kStoreWritesTotal),
-        obs::Registry::Global().counter(obs::kStoreSkippedWritesTotal),
-        obs::Registry::Global().counter(obs::kStoreQuarantinedTotal),
-        obs::Registry::Global().counter(obs::kStorePutRetriesTotal),
-        obs::Registry::Global().counter(obs::kStoreLoadRetriesTotal),
-        obs::Registry::Global().histogram(obs::kStoreLoadNanos),
-        obs::Registry::Global().histogram(obs::kStorePutNanos),
-    };
-    return *m;
-  }
-};
-
 constexpr const char* kFileSuffix = ".jidx";
 constexpr const char* kQuarantineDir = "quarantine";
 
@@ -136,20 +105,15 @@ bool IndexStore::Contains(const InstanceFingerprint& fingerprint) const {
 
 util::Result<std::shared_ptr<const core::SignatureIndex>> IndexStore::Load(
     const InstanceFingerprint& fingerprint) const {
-  StoreMetrics& metrics = StoreMetrics::Get();
+  static obs::Histogram& load_nanos =
+      obs::Registry::Global().histogram(obs::kStoreLoadNanos);
   obs::ScopedSpan span(obs::SpanKind::kStoreLoad, /*trace_id=*/0,
-                       &metrics.load_nanos);
-  {
-    std::lock_guard<std::mutex> lock(*mu_);
-    ++stats_->loads;
-    metrics.loads.Inc();
-  }
+                       &load_nanos);
+  loads_->Inc();
   const std::string path = PathFor(fingerprint);
   std::error_code ec;
   if (!fs::exists(path, ec) || ec) {
-    std::lock_guard<std::mutex> lock(*mu_);
-    ++stats_->load_misses;
-    metrics.load_misses.Inc();
+    load_misses_->Inc();
     return util::Status::NotFound(util::StrFormat(
         "no stored index for fingerprint %s", fingerprint.ToHex().c_str()));
   }
@@ -168,11 +132,7 @@ util::Result<std::shared_ptr<const core::SignatureIndex>> IndexStore::Load(
         return LoadMappedIndex(path);
       },
       &retries);
-  if (retries > 0) {
-    std::lock_guard<std::mutex> lock(*mu_);
-    stats_->load_retries += retries;
-    metrics.load_retries.Inc(retries);
-  }
+  load_retries_->Inc(retries);
   if (!mapped.ok() && util::IsTransient(mapped.status())) {
     return mapped.status();
   }
@@ -183,25 +143,21 @@ util::Result<std::shared_ptr<const core::SignatureIndex>> IndexStore::Load(
   }
   if (!mapped.ok()) {
     Quarantine(path);
-    std::lock_guard<std::mutex> lock(*mu_);
-    ++stats_->quarantined;
-    metrics.quarantined.Inc();
+    quarantined_->Inc();
     return util::Status::ParseError(util::StrFormat(
         "stored index %s rejected and quarantined: %s", path.c_str(),
         mapped.status().message().c_str()));
   }
 
-  std::lock_guard<std::mutex> lock(*mu_);
-  ++stats_->load_hits;
-  metrics.load_hits.Inc();
+  load_hits_->Inc();
   return std::move(mapped)->index;
 }
 
 util::Status IndexStore::Put(const core::SignatureIndex& index,
                              const InstanceFingerprint& fingerprint) const {
-  StoreMetrics& metrics = StoreMetrics::Get();
-  obs::ScopedSpan span(obs::SpanKind::kStorePut, /*trace_id=*/0,
-                       &metrics.put_nanos);
+  static obs::Histogram& put_nanos =
+      obs::Registry::Global().histogram(obs::kStorePutNanos);
+  obs::ScopedSpan span(obs::SpanKind::kStorePut, /*trace_id=*/0, &put_nanos);
   const std::string path = PathFor(fingerprint);
   std::error_code ec;
   if (fs::exists(path, ec) && !ec) {
@@ -211,15 +167,11 @@ util::Status IndexStore::Put(const core::SignatureIndex& index,
     // leftover (e.g. a failed quarantine) would wedge the slot forever.
     auto existing = LoadMappedIndex(path);
     if (existing.ok() && existing->fingerprint == fingerprint) {
-      std::lock_guard<std::mutex> lock(*mu_);
-      ++stats_->skipped_writes;
-      metrics.skipped_writes.Inc();
+      skipped_writes_->Inc();
       return util::Status::OK();
     }
     Quarantine(path);
-    std::lock_guard<std::mutex> lock(*mu_);
-    ++stats_->quarantined;
-    metrics.quarantined.Inc();
+    quarantined_->Inc();
   }
 
   const std::vector<uint8_t> bytes = SerializeIndexFile(index, fingerprint);
@@ -232,12 +184,9 @@ util::Status IndexStore::Put(const core::SignatureIndex& index,
   util::Status published =
       util::RetryCall(options_.retry, [&] { return PublishOnce(bytes, path); },
                       &retries);
-  std::lock_guard<std::mutex> lock(*mu_);
-  stats_->put_retries += retries;
-  if (retries > 0) metrics.put_retries.Inc(retries);
+  put_retries_->Inc(retries);
   if (!published.ok()) return published;
-  ++stats_->writes;
-  metrics.writes.Inc();
+  writes_->Inc();
   return util::Status::OK();
 }
 
@@ -309,8 +258,16 @@ void IndexStore::Quarantine(const std::string& path) const {
 }
 
 IndexStoreStats IndexStore::stats() const {
-  std::lock_guard<std::mutex> lock(*mu_);
-  return *stats_;
+  IndexStoreStats out;
+  out.loads = loads_->Value();
+  out.load_hits = load_hits_->Value();
+  out.load_misses = load_misses_->Value();
+  out.writes = writes_->Value();
+  out.skipped_writes = skipped_writes_->Value();
+  out.quarantined = quarantined_->Value();
+  out.put_retries = put_retries_->Value();
+  out.load_retries = load_retries_->Value();
+  return out;
 }
 
 }  // namespace store

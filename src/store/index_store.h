@@ -23,7 +23,7 @@
 // runtime and never wedges a fingerprint permanently.
 //
 // Thread/process safety: Load and Put are safe from concurrent threads and
-// processes (atomic rename, unique temp names, stats under a mutex).
+// processes (atomic rename, unique temp names, wait-free stats counters).
 //
 // Failure domains (DESIGN.md §10): every fallible syscall boundary is
 // classified transient-vs-permanent (util::IoStatusFromErrno) and carries a
@@ -39,11 +39,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/signature_index.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "store/fingerprint.h"
 #include "store/mapped_index.h"
 #include "util/result.h"
@@ -123,10 +124,18 @@ class IndexStore {
 
   std::string dir_;
   IndexStoreOptions options_;
-  // shared_ptr so IndexStore stays movable while stats live behind a
-  // stable address for const methods on concurrent threads.
-  std::shared_ptr<std::mutex> mu_ = std::make_shared<std::mutex>();
-  std::shared_ptr<IndexStoreStats> stats_ = std::make_shared<IndexStoreStats>();
+
+  // The IndexStoreStats figures: this store's own registry handles
+  // (DESIGN.md §13.1). A move carries them along, so the store moved out
+  // of Open's Result keeps counting into the same totals.
+  obs::OwnedCounter loads_{obs::kStoreLoadsTotal};
+  obs::OwnedCounter load_hits_{obs::kStoreLoadHitsTotal};
+  obs::OwnedCounter load_misses_{obs::kStoreLoadMissesTotal};
+  obs::OwnedCounter writes_{obs::kStoreWritesTotal};
+  obs::OwnedCounter skipped_writes_{obs::kStoreSkippedWritesTotal};
+  obs::OwnedCounter quarantined_{obs::kStoreQuarantinedTotal};
+  obs::OwnedCounter put_retries_{obs::kStorePutRetriesTotal};
+  obs::OwnedCounter load_retries_{obs::kStoreLoadRetriesTotal};
 };
 
 }  // namespace store

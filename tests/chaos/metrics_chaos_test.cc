@@ -1,9 +1,9 @@
-// Dual-write discipline under chaos (DESIGN.md §13.1): every site that
-// bumps a SessionManager::Stats field also Incs the matching global
-// registry counter, so across any RunAll — including one riding a dense
+// One owner per counter under chaos (DESIGN.md §13.1): SessionManager's
+// stats() and the registry's exposed totals read the same per-owner
+// handles, so across any RunAll — including one riding a dense
 // transient-fault schedule — the registry deltas must equal the manager's
-// own stats deltas exactly. A drifting pair means an instrumentation site
-// updated one sink and not the other.
+// own stats deltas exactly. A drifting pair means a figure is counted
+// somewhere other than its owner's handle.
 //
 // Chaos-suite conventions apply: arming is additive, never Reset() — the
 // assertions are all deltas around the measured region, so ambient
@@ -23,6 +23,7 @@
 #include "obs/metrics.h"
 #include "runtime/session.h"
 #include "runtime/session_manager.h"
+#include "testing/registry_reader.h"
 #include "util/failpoint.h"
 #include "workload/synthetic.h"
 
@@ -38,19 +39,19 @@ struct ManagerCounters {
 };
 
 ManagerCounters ReadRegistry() {
-  obs::Registry& r = obs::Registry::Global();
+  using testing::ExposedCounter;
   return ManagerCounters{
-      r.counter(obs::kManagerCompletedTotal).Value(),
-      r.counter(obs::kManagerFailedTotal).Value(),
-      r.counter(obs::kManagerShedTotal).Value(),
-      r.counter(obs::kManagerDeadlineExceededTotal).Value(),
-      r.counter(obs::kManagerFactoryRetriesTotal).Value(),
-      r.counter(obs::kManagerSliceFaultsTotal).Value(),
-      r.counter(obs::kManagerHostedOpenedTotal).Value(),
-      r.counter(obs::kManagerHostedClosedTotal).Value(),
-      r.counter(obs::kManagerHostedAbortedTotal).Value(),
-      r.counter(obs::kManagerHostedReapedTotal).Value(),
-      r.counter(obs::kManagerHostedShedTotal).Value(),
+      ExposedCounter(obs::kManagerCompletedTotal),
+      ExposedCounter(obs::kManagerFailedTotal),
+      ExposedCounter(obs::kManagerShedTotal),
+      ExposedCounter(obs::kManagerDeadlineExceededTotal),
+      ExposedCounter(obs::kManagerFactoryRetriesTotal),
+      ExposedCounter(obs::kManagerSliceFaultsTotal),
+      ExposedCounter(obs::kManagerHostedOpenedTotal),
+      ExposedCounter(obs::kManagerHostedClosedTotal),
+      ExposedCounter(obs::kManagerHostedAbortedTotal),
+      ExposedCounter(obs::kManagerHostedReapedTotal),
+      ExposedCounter(obs::kManagerHostedShedTotal),
   };
 }
 
@@ -103,7 +104,7 @@ TEST(MetricsChaosTest, RegistryDeltasMatchManagerStatsUnderFaults) {
 
   SessionManager::Options options;
   options.threads = 4;
-  options.steps_per_slice = 1;  // Finest slicing: the most dual-writes.
+  options.steps_per_slice = 1;  // Finest slicing: the most counter bumps.
   options.cache_options.failure_backoff_base = std::chrono::milliseconds(1);
   options.cache_options.failure_backoff_max = std::chrono::milliseconds(10);
   options.factory_retry.max_attempts = 0;  // Transient by contract.

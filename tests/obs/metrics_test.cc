@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 
 #include <cstdint>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -151,8 +152,10 @@ TEST_F(MetricsTest, DisabledRecordingIsANoOp) {
   gauge.Set(5);
   histogram.Record(123);
   SetMetricsEnabled(true);
-  EXPECT_EQ(counter.Value(), 0u);
-  EXPECT_EQ(gauge.Value(), 0);
+  // Counters and gauges back stats(), so the kill switch leaves them
+  // counting; it gates histograms only.
+  EXPECT_EQ(counter.Value(), 1u);
+  EXPECT_EQ(gauge.Value(), 5);
   EXPECT_EQ(histogram.Snapshot().count, 0u);
 }
 
@@ -253,6 +256,71 @@ TEST_F(MetricsTest, RegistrySnapshotSeesRegisteredValues) {
   EXPECT_TRUE(saw_counter);
   EXPECT_TRUE(saw_gauge);
   EXPECT_TRUE(saw_histogram);
+}
+
+/// The exposed value of `name` in `registry` (counter or gauge).
+int64_t Exposed(const Registry& registry, std::string_view name) {
+  for (const MetricSnapshot& m : registry.Snapshot()) {
+    if (m.name == name) {
+      return m.kind == MetricKind::kCounter ? static_cast<int64_t>(m.counter)
+                                            : m.gauge;
+    }
+  }
+  return -1;
+}
+
+TEST_F(MetricsTest, OwnedCounterTotalsLiveAndRetiredOwners) {
+  Registry registry;
+  OwnedCounter a("test_owned_total", registry);
+  a->Inc(3);
+  {
+    OwnedCounter b("test_owned_total", registry);
+    b->Inc(4);
+    EXPECT_EQ(a->Value(), 3u);  // Each owner reads only its own share.
+    EXPECT_EQ(b->Value(), 4u);
+    EXPECT_EQ(Exposed(registry, "test_owned_total"), 7);
+  }
+  // A destroyed owner's final count stays: the total is monotone.
+  EXPECT_EQ(Exposed(registry, "test_owned_total"), 7);
+  a->Inc();
+  EXPECT_EQ(Exposed(registry, "test_owned_total"), 8);
+}
+
+TEST_F(MetricsTest, OwnedGaugeSumsLiveOwnersOnly) {
+  Registry registry;
+  OwnedGauge a("test_owned_level", registry);
+  a->Set(2);
+  {
+    OwnedGauge b("test_owned_level", registry);
+    b->Set(5);
+    EXPECT_EQ(Exposed(registry, "test_owned_level"), 7);
+  }
+  // A gauge's level leaves with its owner.
+  EXPECT_EQ(Exposed(registry, "test_owned_level"), 2);
+}
+
+TEST_F(MetricsTest, OwnedHandleMoveKeepsCountingIntoTheSameTotal) {
+  Registry registry;
+  OwnedCounter a("test_owned_move_total", registry);
+  a->Inc(2);
+  OwnedCounter b = std::move(a);  // The moved-from handle is inert.
+  b->Inc();
+  EXPECT_EQ(b->Value(), 3u);
+  OwnedCounter c("test_owned_move_total", registry);
+  c->Inc(10);
+  c = std::move(b);  // c's own count of 10 retires into the total.
+  c->Inc();
+  EXPECT_EQ(c->Value(), 4u);
+  EXPECT_EQ(Exposed(registry, "test_owned_move_total"), 14);
+}
+
+TEST_F(MetricsTest, OwnedCountersCountWhileDisabled) {
+  Registry registry;
+  OwnedCounter counter("test_owned_disabled_total", registry);
+  SetMetricsEnabled(false);
+  counter->Inc();
+  SetMetricsEnabled(true);
+  EXPECT_EQ(counter->Value(), 1u);
 }
 
 TEST_F(MetricsTest, RegistryRegistrationIsThreadSafe) {

@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metric_names.h"
 #include "store/index_store.h"
 #include "testing/paper_fixtures.h"
+#include "testing/registry_reader.h"
 #include "util/failpoint.h"
 
 namespace jinfer {
@@ -88,6 +90,25 @@ TEST(IndexCacheTest, DistinctInstancesGetDistinctEntries) {
   EXPECT_NE(a->get(), b->get());
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().builds, 2u);
+}
+
+TEST(IndexCacheTest, EachCacheCountsItsOwnLookupsAndTheTotalsKeepTheSum) {
+  // One owner per counter (DESIGN.md §13.1): stats() reads this cache's
+  // handles only; the exposed total is the sum over caches, and a
+  // destroyed cache's counts stay in it.
+  using testing::ExposedCounter;
+  const uint64_t before = ExposedCounter(obs::kCacheLookupsTotal);
+  auto a = std::make_unique<IndexCache>();
+  IndexCache b;
+  ASSERT_TRUE(a->GetOrBuild(testing::Example21R(), testing::Example21P()).ok());
+  ASSERT_TRUE(a->GetOrBuild(testing::Example21R(), testing::Example21P()).ok());
+  ASSERT_TRUE(b.GetOrBuild(testing::FlightTable(), testing::HotelTable()).ok());
+  EXPECT_EQ(a->stats().lookups, 2u);
+  EXPECT_EQ(b.stats().lookups, 1u);
+  EXPECT_EQ(ExposedCounter(obs::kCacheLookupsTotal) - before, 3u);
+  a.reset();
+  EXPECT_EQ(ExposedCounter(obs::kCacheLookupsTotal) - before, 3u);
+  EXPECT_EQ(b.stats().lookups, 1u);
 }
 
 // Single-flight: racing requests for one fingerprint must run the build

@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <random>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -81,6 +82,23 @@ TEST(FrameCodecTest, RoundTripsEveryFrameType) {
   EXPECT_FALSE(IsRequestType(0x41));
   EXPECT_FALSE(IsRequestType(0x00));
   EXPECT_FALSE(IsKnownFrameType(0x7f));
+}
+
+TEST(FrameCodecTest, RoundTripsEmptyPayload) {
+  // The Stats and Metrics requests carry no body; a default span's data()
+  // is null, so the encoder must not hand it to memcpy.
+  const std::vector<uint8_t> wire =
+      EncodeFrame(FrameType::kStats, std::span<const uint8_t>());
+  ASSERT_EQ(wire.size(), kFrameHeaderBytes);
+  auto header = DecodeFrameHeader(
+      std::span<const uint8_t>(wire.data(), kFrameHeaderBytes),
+      kMaxFramePayload);
+  ASSERT_TRUE(header.ok()) << header.status().ToString();
+  EXPECT_EQ(header->payload_bytes, 0u);
+  auto frame = DecodeFramePayload(*header, std::span<const uint8_t>());
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->type, FrameType::kStats);
+  EXPECT_TRUE(frame->payload.empty());
 }
 
 // --- The malformed-frame corpus --------------------------------------------

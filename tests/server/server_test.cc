@@ -500,6 +500,35 @@ TEST(ServerTest, StatsFrameReportsCounters) {
   EXPECT_GE(stats->frames_read, 1u);
 }
 
+TEST(ServerTest, GaugesSumAcrossServersInOneProcess) {
+  // Each server owns its gauges (DESIGN.md §13.1): its Stats() reports its
+  // own level and the exposition reports the sum, so a second server in the
+  // process cannot overwrite the first's figure.
+  auto a = StartServer(ServerOptions{});
+  auto b = StartServer(ServerOptions{});
+  Client client_a = ConnectTo(*a);
+  Client client_b = ConnectTo(*b);
+  // A round trip on each connection proves both servers accepted it.
+  ASSERT_TRUE(client_a.ServerStats().ok());
+  ASSERT_TRUE(client_b.ServerStats().ok());
+
+  auto metrics = client_b.ServerMetrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_NE(metrics->text.find("\njinfer_server_connections_open 2\n"),
+            std::string::npos)
+      << metrics->text;
+  EXPECT_EQ(a->Stats().connections_open, 1u);
+  EXPECT_EQ(b->Stats().connections_open, 1u);
+
+  a->RequestStop();
+  ASSERT_TRUE(a->Wait().ok());
+  metrics = client_b.ServerMetrics();
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_NE(metrics->text.find("\njinfer_server_connections_open 1\n"),
+            std::string::npos)
+      << metrics->text;
+}
+
 TEST(ServerTest, StatsFrameCarriesV2HistogramSummaries) {
   auto server = StartServer(ServerOptions{});
   Client client = ConnectTo(*server);

@@ -19,10 +19,12 @@
 #include "core/oracle.h"
 #include "core/strategy.h"
 #include "runtime/session.h"
+#include "obs/metric_names.h"
 #include "store/fingerprint.h"
 #include "store/index_file.h"
 #include "store/index_store.h"
 #include "testing/paper_fixtures.h"
+#include "testing/registry_reader.h"
 #include "workload/synthetic.h"
 
 namespace jinfer {
@@ -188,6 +190,34 @@ TEST(StoreRoundTripTest, MappedIndexOutlivesTheStore) {
   scoped.reset();
   EXPECT_EQ((*mapped)->num_classes(), built->num_classes());
   EXPECT_EQ((*mapped)->cls(0).signature, built->cls(0).signature);
+}
+
+TEST(StoreRoundTripTest, MovedStoreKeepsCountingIntoTheSameTotals) {
+  // The store's counters are registry handles that move with it
+  // (DESIGN.md §13.1): the store moved out of Open's Result, and moved
+  // again, counts into the same stats() and the same exposed totals.
+  using jinfer::testing::ExposedCounter;
+  const uint64_t loads_before = ExposedCounter(obs::kStoreLoadsTotal);
+  const uint64_t writes_before = ExposedCounter(obs::kStoreWritesTotal);
+  ScopedStore scoped;
+  auto built = core::SignatureIndex::Build(testing::Example21R(),
+                                           testing::Example21P());
+  ASSERT_TRUE(built.ok());
+  const InstanceFingerprint fp = FingerprintInstance(
+      testing::Example21R(), testing::Example21P(), true);
+  ASSERT_TRUE(scoped.st->Put(*built, fp).ok());
+  ASSERT_TRUE(scoped.st->Load(fp).ok());
+  {
+    IndexStore moved = std::move(*scoped.st);
+    ASSERT_TRUE(moved.Load(fp).ok());
+    EXPECT_EQ(moved.stats().loads, 2u);
+    EXPECT_EQ(moved.stats().load_hits, 2u);
+    EXPECT_EQ(moved.stats().writes, 1u);
+    EXPECT_EQ(ExposedCounter(obs::kStoreLoadsTotal) - loads_before, 2u);
+  }
+  // The destroyed store's counts stay in the totals.
+  EXPECT_EQ(ExposedCounter(obs::kStoreLoadsTotal) - loads_before, 2u);
+  EXPECT_EQ(ExposedCounter(obs::kStoreWritesTotal) - writes_before, 1u);
 }
 
 // --- The cross-process pair the CI store-roundtrip job drives. ---------
