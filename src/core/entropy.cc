@@ -11,7 +11,9 @@ std::string Entropy::ToString() const {
   auto part = [](uint64_t v) {
     return v == kInfinity ? std::string("inf") : std::to_string(v);
   };
-  return "(" + part(min_u) + "," + part(max_u) + ")";
+  std::string out = "(";
+  out.append(part(min_u)).append(",").append(part(max_u)).append(")");
+  return out;
 }
 
 bool Dominates(const Entropy& a, const Entropy& b) {

@@ -184,8 +184,8 @@ class InferenceState {
   /// only walk this list.
   std::vector<ClassId> informative_;
   /// ceil(|Ω| / 64), min 1: every predicate lives inside Ω, so the hot
-  /// sweeps run word kernels (util/bit_vector.h) over this many words
-  /// instead of JoinPredicate::kWords — the active-word prefix.
+  /// sweeps run their word loops (inference_state.cc) over this many
+  /// words instead of JoinPredicate::kWords — the active-word prefix.
   size_t active_words_ = JoinPredicate::kWords;
 
   // Packed columnar sweep arrays (DESIGN.md §12), class-major with stride
@@ -195,7 +195,7 @@ class InferenceState {
   // informative_ order. neg_words_ packs the W-word signature of every
   // negative witness the same way. The per-label sweeps, the u± counts and
   // the batch candidate sweep stream these flat uint64_t arrays with the
-  // util::kernels word loops instead of chasing 32-byte bitsets and
+  // word loops of inference_state.cc instead of chasing 32-byte bitsets and
   // 64-byte SignatureClass records — the sweeps are memory-bound, and at
   // W == 1 this cuts the touched bytes per class from ~96 to 24. The
   // Cert+ test is key == T(S+) (Lemma 3.3 via keys); Cert− is

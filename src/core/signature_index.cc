@@ -449,10 +449,18 @@ util::Result<SignatureIndex> SignatureIndex::FromSections(
 util::Status SignatureIndex::IndexSignatures() {
   class_of_signature_.clear();
   class_of_signature_.reserve(classes_.size());
+  const JoinPredicate full = omega_.Full();
   uint64_t total = 0;
   uint32_t max_row_r = 0, max_row_p = 0;
   for (size_t a = 0; a < classes_.size(); ++a) {
     const SignatureClass& sc = classes_[a];
+    // A stray bit past |Ω| would skew every signature-size pick and abort
+    // Omega::Format, so it is refused here with the other section checks.
+    if (!sc.signature.IsSubsetOf(full)) {
+      return util::Status::ParseError(util::StrFormat(
+          "index sections: class %zu signature has atoms outside Omega "
+          "(|Omega| = %zu)", a, omega_.size()));
+    }
     auto [it, inserted] = class_of_signature_.try_emplace(
         sc.signature, static_cast<ClassId>(a));
     // Compressed indexes have one class per signature; in the uncompressed

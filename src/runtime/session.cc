@@ -63,12 +63,12 @@ struct LocalLatency {
 };
 
 LocalLatency& QuestionLatency() {
-  thread_local LocalLatency latency{SessionMetrics::Get().question_nanos};
+  thread_local LocalLatency latency{SessionMetrics::Get().question_nanos, {}};
   return latency;
 }
 
 LocalLatency& AnswerLatency() {
-  thread_local LocalLatency latency{SessionMetrics::Get().answer_nanos};
+  thread_local LocalLatency latency{SessionMetrics::Get().answer_nanos, {}};
   return latency;
 }
 

@@ -91,7 +91,7 @@ inline constexpr size_t kFrameHeaderBytes = sizeof(FrameHeader);
 
 /// A decoded frame: type plus owned payload bytes.
 struct Frame {
-  FrameType type;
+  FrameType type = FrameType::kError;
   std::vector<uint8_t> payload;
 };
 

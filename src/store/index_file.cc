@@ -15,11 +15,14 @@ size_t AlignUp(size_t n) {
   return (n + kSectionAlignment - 1) & ~(kSectionAlignment - 1);
 }
 
-/// Appends `len` bytes to `out`, zero-filling the alignment gap first when
-/// asked. Zero gaps (not skipped garbage) keep serialization deterministic.
+/// Appends `len` bytes to `out`. Grows then copies rather than calling
+/// vector::insert, which trips a GCC 12 -Wstringop-overflow false positive
+/// right after the reserve in SerializeIndexFile.
 void AppendBytes(std::vector<uint8_t>& out, const void* data, size_t len) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  out.insert(out.end(), p, p + len);
+  if (len == 0) return;
+  const size_t at = out.size();
+  out.resize(at + len);
+  std::memcpy(out.data() + at, data, len);
 }
 
 void PadTo(std::vector<uint8_t>& out, size_t offset) {

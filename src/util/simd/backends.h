@@ -21,8 +21,7 @@ void SweepBlockScalar(const SweepBlockArgs& args);
 #if JINFER_SIMD_X86
 // kernels_avx2.cc / kernels_avx512.cc — function-level target attributes;
 // safe to link anywhere, must not be *called* unless DetectCpuFeatures()
-// approves. kAvx512Ops assumes VPOPCNTDQ; dispatch.cc patches in the AVX2
-// popcount on CPUs with the core AVX-512 set but not that extension.
+// approves.
 extern const KernelOps kAvx2Ops;
 extern const KernelOps kAvx512Ops;
 #endif

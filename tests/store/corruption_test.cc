@@ -72,14 +72,18 @@ class CorruptionTest : public ::testing::Test {
     return n;
   }
 
-  /// The load must fail with a ParseError mentioning quarantine, the file
-  /// must be gone from its slot, and the quarantine dir must hold it.
-  void ExpectRejectedAndQuarantined(size_t expected_quarantined) {
+  /// The load must fail with a ParseError mentioning quarantine (and
+  /// `reason`), the file must be gone from its slot, and the quarantine
+  /// dir must hold it.
+  void ExpectRejectedAndQuarantined(size_t expected_quarantined,
+                                    const std::string& reason = "") {
     auto loaded = store_->Load(fp_);
     ASSERT_FALSE(loaded.ok());
     EXPECT_TRUE(loaded.status().IsParseError()) << loaded.status().ToString();
     EXPECT_NE(loaded.status().message().find("quarantined"),
               std::string::npos)
+        << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find(reason), std::string::npos)
         << loaded.status().ToString();
     EXPECT_FALSE(store_->Contains(fp_));
     EXPECT_EQ(QuarantineCount(), expected_quarantined);
@@ -157,6 +161,30 @@ TEST_F(CorruptionTest, FutureVersionIsRejectedWithClearError) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("version"), std::string::npos)
       << loaded.status().ToString();
+}
+
+TEST_F(CorruptionTest, SignatureOutsideOmegaIsRejected) {
+  // A class signature with a bit at |Omega|, checksum re-sealed so every
+  // byte-level check passes: the load must still refuse the atom outside
+  // Omega instead of serving a class no predicate can describe.
+  std::vector<uint8_t> bytes = good_bytes_;
+  IndexFileHeader header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  const size_t omega = size_t{header.num_r_attrs} * header.num_p_attrs;
+  ASSERT_LT(omega, 64u);  // The stray bit lands in word 0.
+  ASSERT_GT(header.num_classes, 0u);
+  uint8_t* word0 = bytes.data() + header.sections[kSectionClasses].offset +
+                   offsetof(core::SignatureClass, signature);
+  uint64_t word;
+  std::memcpy(&word, word0, sizeof(word));
+  word |= uint64_t{1} << omega;
+  std::memcpy(word0, &word, sizeof(word));
+  const uint64_t checksum = util::Checksum64Of(
+      bytes.data(), bytes.size() - sizeof(IndexFileFooter));
+  std::memcpy(bytes.data() + bytes.size() - sizeof(IndexFileFooter),
+              &checksum, sizeof(checksum));
+  WriteRaw(bytes);
+  ExpectRejectedAndQuarantined(1, "outside Omega");
 }
 
 TEST_F(CorruptionTest, ForeignByteOrderIsRejected) {
