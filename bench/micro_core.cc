@@ -18,13 +18,14 @@
 #include "core/oracle.h"
 #include "core/signature_index.h"
 #include "core/strategies/minimax_engine.h"
-#include "core/strategies/minimax_reference.h"
 #include "core/strategies/optimal_strategy.h"
 #include "obs/metrics.h"
 #include "sat/dpll.h"
 #include "sat/random_cnf.h"
 #include "semijoin/consistency.h"
 #include "semijoin/reduction_3sat.h"
+#include "testing/minimax_reference.h"
+#include "testing/signature_index_reference.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
 #include "util/simd/sweep.h"
@@ -103,7 +104,8 @@ void BM_EncodeRelationRowMajor(benchmark::State& state) {
   std::vector<rel::Row> r_rows = inst.r.rows();
   std::vector<rel::Row> p_rows = inst.p.rows();
   for (auto _ : state) {
-    core::EncodedInstance enc = core::EncodeInstanceReference(r_rows, p_rows);
+    core::EncodedInstance enc =
+        testing::EncodeInstanceReference(r_rows, p_rows);
     benchmark::DoNotOptimize(enc);
   }
   state.SetItemsProcessed(
@@ -175,7 +177,7 @@ void BM_IngestAndBuildRowMajor(benchmark::State& state) {
     util::Rng rng(424242);
     std::vector<rel::Row> r_rows = generate_rows(rng);
     std::vector<rel::Row> p_rows = generate_rows(rng);
-    auto index = core::SignatureIndex::BuildReferenceRowMajor(
+    auto index = testing::BuildReferenceRowMajor(
         *schema_r, r_rows, *schema_p, p_rows);
     JINFER_CHECK(index.ok(), "build");
     classes = index->num_classes();
@@ -518,7 +520,7 @@ void BM_MinimaxValueReference(benchmark::State& state) {
   const core::SignatureIndex& index = OptIndex();
   core::InferenceState st(index);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::ReferenceMinimaxInteractions(st));
+    benchmark::DoNotOptimize(testing::ReferenceMinimaxInteractions(st));
   }
 }
 BENCHMARK(BM_MinimaxValueReference);
@@ -553,7 +555,7 @@ void BM_WorstCaseReference(benchmark::State& state) {
   for (auto _ : state) {
     auto strategy = core::MakeStrategy(core::StrategyKind::kLookahead2);
     benchmark::DoNotOptimize(
-        core::ReferenceWorstCaseInteractions(index, *strategy));
+        testing::ReferenceWorstCaseInteractions(index, *strategy));
   }
 }
 BENCHMARK(BM_WorstCaseReference);

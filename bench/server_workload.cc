@@ -75,12 +75,14 @@ std::vector<Tenant> MakeTenants(size_t n) {
     auto inst = workload::GenerateSynthetic({3, 3, 24, 6}, 7000 + i % 4);
     JINFER_CHECK(inst.ok(), "instance generation");
     Tenant t;
-    t.body.strategy = i % 2 == 0 ? "BU" : "TD";
-    t.body.compress = 1;
-    t.body.r_name = inst->r.schema().relation_name();
-    t.body.p_name = inst->p.schema().relation_name();
-    t.body.r_csv = rel::WriteRelationCsv(inst->r);
-    t.body.p_csv = rel::WriteRelationCsv(inst->p);
+    t.body = server::OpenSessionBody{
+        .strategy = i % 2 == 0 ? "BU" : "TD",
+        .compress = 1,
+        .r_name = inst->r.schema().relation_name(),
+        .p_name = inst->p.schema().relation_name(),
+        .r_csv = rel::WriteRelationCsv(inst->r),
+        .p_csv = rel::WriteRelationCsv(inst->p),
+    };
     auto index = core::SignatureIndex::Build(inst->r, inst->p);
     JINFER_CHECK(index.ok(), "twin index");
     t.index = std::make_shared<const core::SignatureIndex>(

@@ -21,7 +21,7 @@
 //
 // CI merges this binary's JSON output into BENCH_core.json next to
 // micro_core's (see bench/README.md):
-//   throughput_sessions --benchmark_format=json \
+//   throughput_sessions --benchmark_format=json
 //     --benchmark_out=BENCH_runtime.json
 
 #include <benchmark/benchmark.h>

@@ -14,44 +14,28 @@ namespace core {
 
 namespace {
 
-/// Registry handles for the engine's counters. The engine already keeps
-/// exact per-instance MinimaxCounters; each public entry point publishes
-/// its delta to the registry so operators see aggregate search pressure
-/// without asking every engine instance (DESIGN.md §13.1).
+/// Process-wide search figures with no owning object: how many searches
+/// ran and how long they took. The per-search effort counters are owned
+/// per engine (MinimaxEngine::nodes_ and friends).
 struct MinimaxMetrics {
   obs::Counter& searches;
-  obs::Counter& nodes;
-  obs::Counter& tt_probes;
-  obs::Counter& tt_hits;
-  obs::Counter& tt_stores;
   obs::Histogram& search_nanos;
 
   static MinimaxMetrics& Get() {
     static MinimaxMetrics* m = new MinimaxMetrics{
         obs::Registry::Global().counter(obs::kMinimaxSearchesTotal),
-        obs::Registry::Global().counter(obs::kMinimaxNodesTotal),
-        obs::Registry::Global().counter(obs::kMinimaxTtProbesTotal),
-        obs::Registry::Global().counter(obs::kMinimaxTtHitsTotal),
-        obs::Registry::Global().counter(obs::kMinimaxTtStoresTotal),
         obs::Registry::Global().histogram(obs::kMinimaxSearchNanos),
     };
     return *m;
   }
 };
 
-/// Publishes one entry point's counter delta plus its wall time as a
-/// histogram sample and a flight-recorder span (detail = nodes visited).
-/// The counters always count; the histogram and span honour the kill
-/// switch themselves.
-void RecordSearch(const MinimaxCounters& before, const MinimaxCounters& after,
-                  const util::Stopwatch& watch) {
+/// Records one entry point: the search count, its wall time as a histogram
+/// sample and a flight-recorder span (detail = nodes visited). The counter
+/// always counts; the histogram and span honour the kill switch themselves.
+void RecordSearch(uint64_t nodes, const util::Stopwatch& watch) {
   MinimaxMetrics& m = MinimaxMetrics::Get();
-  const uint64_t nodes = after.nodes - before.nodes;
   m.searches.Inc();
-  m.nodes.Inc(nodes);
-  m.tt_probes.Inc(after.tt_probes - before.tt_probes);
-  m.tt_hits.Inc(after.tt_hits - before.tt_hits);
-  m.tt_stores.Inc(after.tt_stores - before.tt_stores);
   const uint64_t duration_nanos = watch.ElapsedNanos();
   m.search_nanos.Record(duration_nanos);
   obs::SpanRecord record;
@@ -270,15 +254,30 @@ uint64_t MinimaxEngine::PrepareWorkers(const InferenceState& state,
   return zobrist_.HashSample(state.sample());
 }
 
+MinimaxCounters MinimaxEngine::counters() const {
+  MinimaxCounters c;
+  c.nodes = nodes_->Value();
+  c.tt_probes = tt_probes_->Value();
+  c.tt_hits = tt_hits_->Value();
+  c.tt_stores = tt_stores_->Value();
+  c.deepening_rounds = deepening_rounds_;
+  c.scratch_rebuilds = scratch_rebuilds_;
+  return c;
+}
+
+void MinimaxEngine::AddCounts(const MinimaxCounters& counts) {
+  nodes_->Inc(counts.nodes);
+  tt_probes_->Inc(counts.tt_probes);
+  tt_hits_->Inc(counts.tt_hits);
+  tt_stores_->Inc(counts.tt_stores);
+  deepening_rounds_ += counts.deepening_rounds;
+  scratch_rebuilds_ += counts.scratch_rebuilds;
+}
+
 void MinimaxEngine::AccumulateCounters(size_t num_workers) {
   for (size_t w = 0; w < num_workers; ++w) {
-    MinimaxCounters& c = workers_[w]->counters;
-    counters_.nodes += c.nodes;
-    counters_.tt_probes += c.tt_probes;
-    counters_.tt_hits += c.tt_hits;
-    counters_.tt_stores += c.tt_stores;
-    counters_.scratch_rebuilds += c.scratch_rebuilds;
-    c = {};  // Also resets the per-call node-budget accounting.
+    AddCounts(workers_[w]->counters);
+    workers_[w]->counters = {};
   }
 }
 
@@ -398,7 +397,7 @@ uint32_t MinimaxEngine::SolveRoot(const InferenceState& state,
   // terminates with an exact value no later than bound == n.
   uint32_t bound = std::min(GuessUpperBound(*workers_[0]->scratch), n32);
   for (;;) {
-    ++counters_.deepening_rounds;
+    ++deepening_rounds_;
     SearchRoot(root_hash, num_workers, bound, results);
     const uint32_t m = *std::min_element(results->begin(), results->end());
     if (m <= bound) {
@@ -414,10 +413,10 @@ size_t MinimaxEngine::Value(const InferenceState& state) {
                "engine is bound to a different SignatureIndex");
   if (state.NumInformativeClasses() == 0) return 0;
   std::vector<uint32_t> results;
-  const MinimaxCounters before = counters_;
+  const uint64_t nodes_before = nodes_->Value();
   util::Stopwatch watch;
   const size_t v = SolveRoot(state, &results);
-  RecordSearch(before, counters_, watch);
+  RecordSearch(nodes_->Value() - nodes_before, watch);
   return v;
 }
 
@@ -428,10 +427,10 @@ std::optional<ClassId> MinimaxEngine::SelectBest(const InferenceState& state) {
   if (n == 0) return std::nullopt;
   if (n == 1) return state.InformativeClassAt(0);
   std::vector<uint32_t> results;
-  const MinimaxCounters before = counters_;
+  const uint64_t nodes_before = nodes_->Value();
   util::Stopwatch watch;
   const uint32_t v = SolveRoot(state, &results);
-  RecordSearch(before, counters_, watch);
+  RecordSearch(nodes_->Value() - nodes_before, watch);
   // Lowest-ClassId argmin: candidates failing the final bound report values
   // strictly above v, so this is the exact tie-break of the reference.
   for (size_t i = 0; i < n; ++i) {
@@ -484,16 +483,11 @@ size_t MinimaxEngine::WorstCase(Strategy& strategy) {
   MinimaxCounters counters;
   InferenceState scratch(*index_);
   ++counters.scratch_rebuilds;
-  const MinimaxCounters before = counters_;
   util::Stopwatch watch;
   const size_t v = PlayAdversary(strategy, tt, counters, scratch,
                                  ZobristTable::kEmptyHash);
-  counters_.nodes += counters.nodes;
-  counters_.tt_probes += counters.tt_probes;
-  counters_.tt_hits += counters.tt_hits;
-  counters_.tt_stores += counters.tt_stores;
-  counters_.scratch_rebuilds += counters.scratch_rebuilds;
-  RecordSearch(before, counters_, watch);
+  AddCounts(counters);
+  RecordSearch(counters.nodes, watch);
   return v;
 }
 

@@ -1,10 +1,11 @@
 // Delta-frame minimax engine for exact search (§4.1's OPT and the
 // worst-case adversary).
 //
-// The seed implementation allocated a full InferenceState copy per search
-// node (WithLabel) and memoized through a sorted vector key in a std::map —
-// the copy-per-node pattern PR 1 eliminated from the lookahead path. This
-// engine replaces both:
+// The seed implementation (kept as a test oracle in tests/testing/,
+// outside the library) allocated a full InferenceState copy per search
+// node (WithLabel) and memoized through a sorted vector key in a std::map
+// — the copy-per-node pattern the lookahead path had already dropped.
+// This engine replaces both:
 //
 //   * One mutable InferenceState is traversed with ApplyLabelScoped /
 //     UndoLabel delta frames — zero state copies per node, and zero copies
@@ -64,6 +65,8 @@
 #include "core/strategies/lookahead_strategy.h"
 #include "core/strategy.h"
 #include "core/types.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 
 namespace jinfer {
 namespace core {
@@ -191,8 +194,9 @@ struct MinimaxOptions {
   uint64_t zobrist_seed = ZobristTable::kDefaultSeed;
 };
 
-/// Aggregated search counters (summed over workers and deepening rounds
-/// since construction or the last ResetCounters).
+/// Search counters: an engine's totals since construction (counters()),
+/// and the plain per-worker counts a search accumulates before they are
+/// added into the engine.
 struct MinimaxCounters {
   uint64_t nodes = 0;             ///< Search nodes expanded.
   uint64_t tt_probes = 0;
@@ -223,8 +227,10 @@ class MinimaxEngine {
   /// sample set. Zero InferenceState copies.
   size_t WorstCase(Strategy& strategy);
 
-  const MinimaxCounters& counters() const { return counters_; }
-  void ResetCounters() { counters_ = {}; }
+  /// A snapshot of this engine's counters since construction. Nodes and
+  /// table probes/hits/stores are the engine's own share of the
+  /// jinfer_minimax_*_total registry counters (DESIGN.md §13.1).
+  MinimaxCounters counters() const;
 
   const SignatureIndex& index() const { return *index_; }
 
@@ -269,6 +275,10 @@ class MinimaxEngine {
   uint64_t PrepareWorkers(const InferenceState& state, size_t num_workers);
 
   size_t ResolvedWorkers(size_t num_candidates) const;
+  /// Adds one search's plain counts into the engine's counters.
+  void AddCounts(const MinimaxCounters& counts);
+  /// AddCounts over workers [0, num_workers), resetting each worker's
+  /// counts (and with them its per-call node-budget accounting).
   void AccumulateCounters(size_t num_workers);
 
   const SignatureIndex* index_;
@@ -281,7 +291,15 @@ class MinimaxEngine {
   /// thread-count-invariant results). Persisted across SolveRoot calls so
   /// a session's later picks re-enter earlier subtrees warm.
   SharedTranspositionTable shared_tt_;
-  MinimaxCounters counters_;
+
+  // One owner per counter: the registry's totals read these handles.
+  obs::OwnedCounter nodes_{obs::kMinimaxNodesTotal};
+  obs::OwnedCounter tt_probes_{obs::kMinimaxTtProbesTotal};
+  obs::OwnedCounter tt_hits_{obs::kMinimaxTtHitsTotal};
+  obs::OwnedCounter tt_stores_{obs::kMinimaxTtStoresTotal};
+  // No metric name: plain engine fields.
+  uint64_t deepening_rounds_ = 0;
+  uint64_t scratch_rebuilds_ = 0;
 };
 
 }  // namespace core

@@ -3,12 +3,13 @@
 // paths.
 //
 // One owner per counter (DESIGN.md §13.1). A subsystem whose stats() the
-// program reads (IndexCache, IndexStore, SessionManager, Server) holds an
-// OwnedCounter / OwnedGauge per figure: its stats() is a snapshot of its
-// own handles, and the registry exposes, per name, the sum over every
-// owner alive plus the final counts of destroyed ones. Process-wide
-// figures with no owning object (minimax search counts, the trace ring's
-// health) register through Registry::counter() / gauge() instead.
+// program reads (IndexCache, IndexStore, SessionManager, Server, and
+// MinimaxEngine through counters()) holds an OwnedCounter / OwnedGauge
+// per figure: its stats() is a snapshot of its own handles, and the
+// registry exposes, per name, the sum over every owner alive plus the
+// final counts of destroyed ones. Process-wide figures with no owning
+// object (the minimax search count, the trace ring's health) register
+// through Registry::counter() / gauge() instead.
 //
 // Cost discipline:
 //   - Increments are wait-free: one relaxed fetch_add on a

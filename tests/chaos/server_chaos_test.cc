@@ -119,15 +119,15 @@ Transcript DriveToCompletion(uint16_t port, const OpenSessionBody& body,
 }
 
 OpenSessionBody BodyFor(const Spec& spec) {
-  OpenSessionBody body;
-  body.strategy = core::StrategyKindName(spec.kind);
-  body.seed = spec.seed;
-  body.compress = 1;
-  body.r_name = "R";
-  body.p_name = "P";
-  body.r_csv = rel::WriteRelationCsv(testing::Example21R());
-  body.p_csv = rel::WriteRelationCsv(testing::Example21P());
-  return body;
+  return OpenSessionBody{
+      .strategy = core::StrategyKindName(spec.kind),
+      .seed = spec.seed,
+      .compress = 1,
+      .r_name = "R",
+      .p_name = "P",
+      .r_csv = rel::WriteRelationCsv(testing::Example21R()),
+      .p_csv = rel::WriteRelationCsv(testing::Example21P()),
+  };
 }
 
 std::vector<Spec> MakeSpecs(const core::SignatureIndex& index) {

@@ -17,6 +17,7 @@
 #include "relational/relation.h"
 #include "semijoin/reduction_3sat.h"
 #include "sat/random_cnf.h"
+#include "testing/signature_index_reference.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
 #include "workload/tpch.h"
@@ -117,7 +118,8 @@ TEST(EncodedIdentityTest, ColumnarEncodeMatchesRowMajorReference) {
     SCOPED_TRACE(inst.name);
     EncodedInstance columnar = EncodeInstance(inst.r, inst.p);
     EncodedInstance reference =
-        EncodeInstanceReference(Materialize(inst.r), Materialize(inst.p));
+        testing::EncodeInstanceReference(Materialize(inst.r),
+                                         Materialize(inst.p));
     EXPECT_EQ(columnar.r_codes, reference.r_codes);
     EXPECT_EQ(columnar.p_codes, reference.p_codes);
   }
@@ -132,7 +134,7 @@ TEST(EncodedIdentityTest, BuiltIndexBitIdenticalAcrossPathsAndThreads) {
         SignatureIndexOptions options{.compress = compress,
                                       .threads = threads};
         auto built = SignatureIndex::Build(inst.r, inst.p, options);
-        auto reference = SignatureIndex::BuildReferenceRowMajor(
+        auto reference = testing::BuildReferenceRowMajor(
             inst.r.schema(), r_rows, inst.p.schema(), p_rows, options);
         ASSERT_TRUE(built.ok()) << inst.name;
         ASSERT_TRUE(reference.ok()) << inst.name;
@@ -149,7 +151,7 @@ TEST(EncodedIdentityTest, SessionTranscriptsIdenticalAcrossPaths) {
   for (const Instance& inst : TestInstances()) {
     SCOPED_TRACE(inst.name);
     auto built = SignatureIndex::Build(inst.r, inst.p);
-    auto reference = SignatureIndex::BuildReferenceRowMajor(
+    auto reference = testing::BuildReferenceRowMajor(
         inst.r.schema(), Materialize(inst.r), inst.p.schema(),
         Materialize(inst.p));
     ASSERT_TRUE(built.ok() && reference.ok());

@@ -69,7 +69,9 @@ void ExpectMatchesReference(const SignatureIndex& index,
   auto informative = state.InformativeClasses();
   ASSERT_EQ(informative.size(), expected_informative) << what;
   for (size_t i = 0; i < informative.size(); ++i) {
-    if (i > 0) EXPECT_LT(informative[i - 1], informative[i]) << what;
+    if (i > 0) {
+      EXPECT_LT(informative[i - 1], informative[i]) << what;
+    }
     EXPECT_TRUE(state.IsInformative(informative[i])) << what;
     EXPECT_EQ(state.InformativeClassAt(i), informative[i]) << what;
   }

@@ -1,5 +1,5 @@
 // Property tests for the delta-frame minimax engine against the retained
-// seed implementation (minimax_reference.h): identical minimax values,
+// seed implementation (testing/minimax_reference.h): identical minimax values,
 // identical OPT picks and identical worst cases on randomized small
 // instances, at 1 and N root-split workers; plus Zobrist hash-integrity
 // and zero-copy steady-state assertions.
@@ -12,10 +12,12 @@
 
 #include "core/inference.h"
 #include "core/oracle.h"
-#include "core/strategies/minimax_reference.h"
 #include "core/strategies/optimal_strategy.h"
 #include "core/strategy.h"
+#include "obs/metric_names.h"
+#include "testing/minimax_reference.h"
 #include "testing/paper_fixtures.h"
+#include "testing/registry_reader.h"
 #include "workload/synthetic.h"
 
 namespace jinfer {
@@ -132,7 +134,7 @@ TEST(TranspositionTableTest, DepthAwareReplacementKeepsDeepEntries) {
 TEST(MinimaxEngineTest, MatchesReferenceValueOnCorpusAtOneAndNThreads) {
   for (const SignatureIndex& index : PropertyCorpus()) {
     InferenceState state(index);
-    const size_t expected = ReferenceMinimaxInteractions(state);
+    const size_t expected = testing::ReferenceMinimaxInteractions(state);
 
     for (int threads : {1, kManyThreads}) {
       MinimaxOptions options;
@@ -147,7 +149,8 @@ TEST(MinimaxEngineTest, MatchesReferenceValueOnCorpusAtOneAndNThreads) {
     // Mid-session states: push a label and compare the subtree values too.
     if (state.NumInformativeClasses() > 1) {
       state.ApplyLabelScoped(state.InformativeClassAt(0), Label::kNegative);
-      const size_t sub_expected = ReferenceMinimaxInteractions(state);
+      const size_t sub_expected =
+          testing::ReferenceMinimaxInteractions(state);
       EXPECT_EQ(MinimaxInteractions(state), sub_expected);
       MinimaxOptions options;
       options.threads = kManyThreads;
@@ -168,7 +171,7 @@ TEST(MinimaxEngineTest, MatchesReferencePickAcrossWholeSessions) {
     OptimalStrategy opt_parallel(/*node_budget=*/5'000'000,
                                  /*threads=*/kManyThreads);
     while (state.NumInformativeClasses() > 0) {
-      std::optional<ClassId> expected = ReferenceOptimalPick(state);
+      std::optional<ClassId> expected = testing::ReferenceOptimalPick(state);
       ASSERT_TRUE(expected.has_value());
       EXPECT_EQ(opt_serial.SelectNext(state), expected);
       EXPECT_EQ(opt_parallel.SelectNext(state), expected);
@@ -190,7 +193,7 @@ TEST(MinimaxEngineTest, WorstCaseMatchesReferenceForPaperStrategies) {
     auto a = MakeStrategy(kind);
     auto b = MakeStrategy(kind);
     EXPECT_EQ(WorstCaseInteractions(index, *a),
-              ReferenceWorstCaseInteractions(index, *b))
+              testing::ReferenceWorstCaseInteractions(index, *b))
         << StrategyKindName(kind);
   }
 }
@@ -225,7 +228,7 @@ TEST(MinimaxEngineTest, ZeroStateCopiesInSteadyState) {
 
   // Sanity of the instrumentation: the reference implementation copies
   // once per node, so the counter must move under it.
-  ReferenceMinimaxInteractions(state);
+  testing::ReferenceMinimaxInteractions(state);
   EXPECT_GT(InferenceState::CopyCount(), before);
 }
 
@@ -236,7 +239,7 @@ TEST(MinimaxEngineTest, OptimalStrategyRebuildsEngineAcrossIndexes) {
   OptimalStrategy opt;
   for (const SignatureIndex& index : PropertyCorpus()) {
     InferenceState state(index);
-    EXPECT_EQ(opt.SelectNext(state), ReferenceOptimalPick(state));
+    EXPECT_EQ(opt.SelectNext(state), testing::ReferenceOptimalPick(state));
   }
 }
 
@@ -251,13 +254,35 @@ TEST(MinimaxEngineTest, CountersReportSearchEffort) {
   InferenceState state(index);
   MinimaxEngine engine(index, {});
   engine.Value(state);
-  const MinimaxCounters& counters = engine.counters();
+  const MinimaxCounters counters = engine.counters();
   EXPECT_GT(counters.nodes, 0u);
   EXPECT_GT(counters.tt_stores, 0u);
   EXPECT_GT(counters.deepening_rounds, 0u);
   EXPECT_GE(counters.tt_probes, counters.tt_hits);
-  engine.ResetCounters();
-  EXPECT_EQ(engine.counters().nodes, 0u);
+}
+
+TEST(MinimaxEngineTest, ExposedNodesSumEveryEngine) {
+  // Each engine owns its share of jinfer_minimax_nodes_total: the exposed
+  // total moves by exactly the sum of the engines' own counts, and keeps
+  // them once the engines are gone.
+  SignatureIndex example = testing::Example21Index();
+  std::vector<SignatureIndex> corpus = PropertyCorpus();
+  ASSERT_FALSE(corpus.empty());
+  const uint64_t before = testing::ExposedCounter(obs::kMinimaxNodesTotal);
+  uint64_t engine_nodes = 0;
+  {
+    MinimaxEngine a(example, {});
+    MinimaxEngine b(corpus.front(), {});
+    a.Value(InferenceState(example));
+    b.Value(InferenceState(corpus.front()));
+    EXPECT_GT(a.counters().nodes, 0u);
+    EXPECT_GT(b.counters().nodes, 0u);
+    engine_nodes = a.counters().nodes + b.counters().nodes;
+    EXPECT_EQ(testing::ExposedCounter(obs::kMinimaxNodesTotal) - before,
+              engine_nodes);
+  }
+  EXPECT_EQ(testing::ExposedCounter(obs::kMinimaxNodesTotal) - before,
+            engine_nodes);
 }
 
 }  // namespace

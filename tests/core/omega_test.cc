@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "testing/paper_fixtures.h"
+#include "util/string_util.h"
 
 namespace jinfer {
 namespace core {
@@ -89,8 +90,8 @@ TEST(OmegaTest, ToAttrPairsMatchesJoinEvaluation) {
 TEST(OmegaTest, CapacityEnforced) {
   // 16 x 17 = 272 > 256 must be rejected.
   std::vector<std::string> r_names, p_names;
-  for (int i = 0; i < 16; ++i) r_names.push_back("A" + std::to_string(i));
-  for (int i = 0; i < 17; ++i) p_names.push_back("B" + std::to_string(i));
+  for (int i = 0; i < 16; ++i) r_names.push_back(util::StrFormat("A%d", i));
+  for (int i = 0; i < 17; ++i) p_names.push_back(util::StrFormat("B%d", i));
   auto r = rel::Schema::Make("R", r_names);
   auto p = rel::Schema::Make("P", p_names);
   auto omega = Omega::Make(*r, *p);
@@ -101,8 +102,8 @@ TEST(OmegaTest, CapacityEnforced) {
 TEST(OmegaTest, MaxTpchShapeFits) {
   // Orders(9) x Lineitem(16) = 144 must fit.
   std::vector<std::string> r_names, p_names;
-  for (int i = 0; i < 9; ++i) r_names.push_back("A" + std::to_string(i));
-  for (int i = 0; i < 16; ++i) p_names.push_back("B" + std::to_string(i));
+  for (int i = 0; i < 9; ++i) r_names.push_back(util::StrFormat("A%d", i));
+  for (int i = 0; i < 16; ++i) p_names.push_back(util::StrFormat("B%d", i));
   auto omega = Omega::Make(*rel::Schema::Make("R", r_names),
                            *rel::Schema::Make("P", p_names));
   ASSERT_TRUE(omega.ok());

@@ -4,6 +4,7 @@
 
 #include "testing/paper_fixtures.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace jinfer {
 namespace core {
@@ -239,9 +240,39 @@ TEST(SignatureIndexTest, EmptyInstanceRejected) {
   EXPECT_TRUE(SignatureIndex::Build(*p, *r).status().IsInvalidArgument());
 }
 
+TEST(SignatureIndexTest, EncodedBuildRejectsEmptyCodeArrays) {
+  auto omega = Omega::Make(*rel::Schema::Make("R", {"A1", "A2"}),
+                           *rel::Schema::Make("P", {"B1"}));
+  ASSERT_TRUE(omega.ok());
+  EncodedInstance no_r{{}, {7, 8}};
+  EncodedInstance no_p{{1, 2}, {}};
+  EXPECT_TRUE(SignatureIndex::Build(*omega, no_r).status().IsInvalidArgument());
+  EXPECT_TRUE(SignatureIndex::Build(*omega, no_p).status().IsInvalidArgument());
+}
+
+TEST(SignatureIndexTest, EncodedBuildRejectsPartialRows) {
+  auto omega = Omega::Make(*rel::Schema::Make("R", {"A1", "A2"}),
+                           *rel::Schema::Make("P", {"B1", "B2", "B3"}));
+  ASSERT_TRUE(omega.ok());
+  // R is two codes wide, P three: 3 R codes and 4 P codes end mid-row.
+  EncodedInstance ragged_r{{1, 2, 3}, {1, 2, 3}};
+  EncodedInstance ragged_p{{1, 2}, {1, 2, 3, 4}};
+  auto r_status = SignatureIndex::Build(*omega, ragged_r).status();
+  auto p_status = SignatureIndex::Build(*omega, ragged_p).status();
+  EXPECT_TRUE(r_status.IsInvalidArgument()) << r_status.ToString();
+  EXPECT_TRUE(p_status.IsInvalidArgument()) << p_status.ToString();
+  EXPECT_NE(r_status.ToString().find("not a multiple"), std::string::npos);
+  EXPECT_NE(p_status.ToString().find("not a multiple"), std::string::npos);
+  // Whole rows build: one R row by one P row, no shared value.
+  EncodedInstance whole{{1, 2}, {3, 4, 5}};
+  auto index = SignatureIndex::Build(*omega, whole);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ(index->num_tuples(), 1u);
+}
+
 TEST(SignatureIndexTest, CapacityPropagates) {
   std::vector<std::string> names;
-  for (int i = 0; i < 17; ++i) names.push_back("C" + std::to_string(i));
+  for (int i = 0; i < 17; ++i) names.push_back(util::StrFormat("C%d", i));
   auto r = rel::Relation::Make("R", names,
                                {rel::Row(17, rel::Value(1))});
   auto p = rel::Relation::Make("P", names,

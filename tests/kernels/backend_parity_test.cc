@@ -1,10 +1,10 @@
 // Backend parity: every compiled-and-supported SIMD kernel backend must
 // be bit-identical to the scalar reference — the fused u± sweep across
-// word widths, lane tails and witness counts, the tiled sweep against the
-// monolithic block for assorted tilings, and the ParallelFor-striped
-// driver at 1 vs 4 threads. The loops run over SupportedKernelBackends(),
-// so the test passes (vacuously shrinking) on hardware without AVX while
-// covering everything the bench hardware can attest.
+// word widths, lane tails and witness counts, and the tiled sweep against
+// the monolithic block for assorted tilings. The loops run over
+// SupportedKernelBackends(), so the test passes (vacuously shrinking) on
+// hardware without AVX while covering everything the bench hardware can
+// attest.
 
 #include <cstdint>
 #include <vector>
@@ -137,25 +137,6 @@ TEST(KernelBackendTest, TiledSweepMatchesMonolithic) {
                                    << t.i_tile << " j_tile=" << t.j_tile;
     }
   }
-}
-
-// The striped driver is thread-count invariant: 1 and 4 sweep threads
-// must agree exactly, above the parallel threshold, on every backend.
-TEST(KernelBackendTest, SweepThreadCountInvariant) {
-  const size_t n = kSweepParallelMinCandidates + 137;  // Engage striping.
-  SweepFixture fx(0x5ca1ab1e, n, 2, 3);
-  const int ambient = SweepThreads();
-  for (KernelBackend backend : SupportedKernelBackends()) {
-    testing::ScopedKernelBackend forced(backend);
-    std::vector<uint64_t> p1(n), n1(n), p4(n), n4(n);
-    SetSweepThreads(1);
-    SweepUCounts(fx.args, p1.data(), n1.data());
-    SetSweepThreads(4);
-    SweepUCounts(fx.args, p4.data(), n4.data());
-    ASSERT_EQ(p1, p4) << KernelBackendName(backend);
-    ASSERT_EQ(n1, n4) << KernelBackendName(backend);
-  }
-  SetSweepThreads(ambient);
 }
 
 // End-to-end: the entropy columns and the skyline argmin pick — the

@@ -1,10 +1,10 @@
 // Property harness for the batched u+/u- entropy sweeps: the fused
 // column-wise paths (CountNewlyUninformativeAll, EntropyOfAll, the
 // remaining==2 batch leaf inside EntropyKOf) must be bit-identical to the
-// retained per-candidate reference recursion (entropy_reference.h) — same
-// entropies, same argmax picks, same values — across word regimes, with
-// and without class compression, for indexes built at 1 and 4 threads,
-// and under concurrent sweeps on per-thread states.
+// retained per-candidate reference recursion (testing/entropy_reference.h)
+// — same entropies, same argmax picks, same values — across word regimes,
+// with and without class compression, for indexes built at 1 and 4
+// threads, and under concurrent sweeps on per-thread states.
 
 #include <cstdint>
 #include <thread>
@@ -14,9 +14,9 @@
 #include <gtest/gtest.h>
 
 #include "core/entropy.h"
-#include "core/entropy_reference.h"
 #include "core/inference_state.h"
 #include "core/signature_index.h"
+#include "testing/entropy_reference.h"
 #include "testing/paper_fixtures.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
@@ -83,7 +83,7 @@ void ExpectSweepMatchesReference(const InferenceState& state, bool deep) {
   const size_t k2_classes = n < 32 ? n : 32;
   for (size_t i = 0; i < k2_classes; ++i) {
     ClassId c = state.InformativeClassAt(i);
-    Entropy want = EntropyKOfReference(state, c, 2);
+    Entropy want = testing::EntropyKOfReference(state, c, 2);
     ASSERT_EQ(EntropyKOf(state, c, 2), want) << "k=2 class " << c;
     ASSERT_EQ(EntropyKOfInPlace(scratch_state, c, 2, scratch), want)
         << "in-place k=2 class " << c;
@@ -92,7 +92,7 @@ void ExpectSweepMatchesReference(const InferenceState& state, bool deep) {
     const size_t k3_classes = n < 3 ? n : 3;
     for (size_t i = 0; i < k3_classes; ++i) {
       ClassId c = state.InformativeClassAt(i);
-      Entropy want = EntropyKOfReference(state, c, 3);
+      Entropy want = testing::EntropyKOfReference(state, c, 3);
       ASSERT_EQ(EntropyKOf(state, c, 3), want) << "k=3 class " << c;
       ASSERT_EQ(EntropyKOfInPlace(scratch_state, c, 3, scratch), want)
           << "in-place k=3 class " << c;

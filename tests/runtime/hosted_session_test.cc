@@ -202,7 +202,9 @@ TEST(HostedSessionTest, FactoryFailureDoesNotHoldASlot) {
   auto index = SharedExample21Index();
   auto ok = manager.OpenHosted([&] { return MakeHosted(index); });
   EXPECT_TRUE(ok.ok()) << "failed open left the admission slot reserved";
-  if (ok.ok()) ASSERT_TRUE(manager.AbortHosted(*ok).ok());
+  if (ok.ok()) {
+    ASSERT_TRUE(manager.AbortHosted(*ok).ok());
+  }
 }
 
 TEST(HostedSessionTest, UnknownIdIsNotFoundEverywhere) {

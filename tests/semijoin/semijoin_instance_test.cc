@@ -43,7 +43,9 @@ TEST(SemijoinInstanceTest, MaximalSignaturesAreMaximal) {
     EXPECT_FALSE(sigs.empty());
     for (size_t a = 0; a < sigs.size(); ++a) {
       for (size_t b = 0; b < sigs.size(); ++b) {
-        if (a != b) EXPECT_FALSE(sigs[a].IsStrictSubsetOf(sigs[b]));
+        if (a != b) {
+          EXPECT_FALSE(sigs[a].IsStrictSubsetOf(sigs[b]));
+        }
       }
     }
   }

@@ -1,7 +1,12 @@
-#include "core/entropy_reference.h"
+#include "testing/entropy_reference.h"
 
 namespace jinfer {
-namespace core {
+namespace testing {
+
+using core::ClassId;
+using core::Entropy;
+using core::InferenceState;
+using core::Label;
 
 namespace {
 
@@ -59,10 +64,10 @@ Entropy EntropyKOfInPlaceReference(InferenceState& state, ClassId cls,
 }
 
 Entropy EntropyKOfReference(const InferenceState& state, ClassId cls, int k) {
-  if (k == 1) return EntropyOf(state, cls);
+  if (k == 1) return core::EntropyOf(state, cls);
   InferenceState scratch = state;
   return EntropyKOfInPlaceReference(scratch, cls, k);
 }
 
-}  // namespace core
+}  // namespace testing
 }  // namespace jinfer

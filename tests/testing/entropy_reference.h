@@ -5,29 +5,30 @@
 // the batch path is the per-candidate one — a disagreement localizes the
 // bug to the batch sweep or the packed arrays, not to shared plumbing.
 //
-// Test-only by convention: nothing under src/ outside the tests links it
-// on a hot path. Kept in src/core (not tests/) so the harness can compare
-// across every build type the CI matrix compiles.
+// Part of the jinfer_testing library: the tests link it, the shipped
+// libjinfer does not.
 
-#ifndef JINFER_CORE_ENTROPY_REFERENCE_H_
-#define JINFER_CORE_ENTROPY_REFERENCE_H_
+#ifndef JINFER_TESTS_TESTING_ENTROPY_REFERENCE_H_
+#define JINFER_TESTS_TESTING_ENTROPY_REFERENCE_H_
 
 #include "core/entropy.h"
 #include "core/inference_state.h"
 #include "core/types.h"
 
 namespace jinfer {
-namespace core {
+namespace testing {
 
 /// entropy^k_S(t) by the per-candidate recursion; bit-identical to
 /// EntropyKOf for every k, state and candidate.
-Entropy EntropyKOfReference(const InferenceState& state, ClassId cls, int k);
+core::Entropy EntropyKOfReference(const core::InferenceState& state,
+                                  core::ClassId cls, int k);
 
 /// In-place form on a caller-owned scratch state (restored exactly),
 /// mirroring EntropyKOfInPlace.
-Entropy EntropyKOfInPlaceReference(InferenceState& state, ClassId cls, int k);
+core::Entropy EntropyKOfInPlaceReference(core::InferenceState& state,
+                                         core::ClassId cls, int k);
 
-}  // namespace core
+}  // namespace testing
 }  // namespace jinfer
 
-#endif  // JINFER_CORE_ENTROPY_REFERENCE_H_
+#endif  // JINFER_TESTS_TESTING_ENTROPY_REFERENCE_H_

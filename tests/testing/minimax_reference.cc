@@ -1,4 +1,4 @@
-#include "core/strategies/minimax_reference.h"
+#include "testing/minimax_reference.h"
 
 #include <algorithm>
 #include <limits>
@@ -6,7 +6,14 @@
 #include <vector>
 
 namespace jinfer {
-namespace core {
+namespace testing {
+
+using core::ClassId;
+using core::InferenceState;
+using core::Label;
+using core::Sample;
+using core::SignatureIndex;
+using core::Strategy;
 
 namespace {
 
@@ -117,5 +124,5 @@ size_t ReferenceWorstCaseInteractions(const SignatureIndex& index,
   return adversary.Play(state);
 }
 
-}  // namespace core
+}  // namespace testing
 }  // namespace jinfer

@@ -8,10 +8,11 @@
 //     minimax values / strategy picks / worst cases;
 //   * the micro_core OPT benches report the engine's speedup against it.
 // Production callers (OptimalStrategy, the benches, the adversary) all go
-// through MinimaxEngine.
+// through MinimaxEngine; this lives in the jinfer_testing library, which
+// the shipped libjinfer never links.
 
-#ifndef JINFER_CORE_STRATEGIES_MINIMAX_REFERENCE_H_
-#define JINFER_CORE_STRATEGIES_MINIMAX_REFERENCE_H_
+#ifndef JINFER_TESTS_TESTING_MINIMAX_REFERENCE_H_
+#define JINFER_TESTS_TESTING_MINIMAX_REFERENCE_H_
 
 #include <cstdint>
 #include <optional>
@@ -20,24 +21,24 @@
 #include "core/strategy.h"
 
 namespace jinfer {
-namespace core {
+namespace testing {
 
 /// V(state) computed by the seed's map-memoized copy-per-node search.
-size_t ReferenceMinimaxInteractions(const InferenceState& state,
+size_t ReferenceMinimaxInteractions(const core::InferenceState& state,
                                     uint64_t node_budget = 5'000'000);
 
 /// The seed OptimalStrategy pick: lowest-ClassId argmin of
 /// 1 + max over labels V(child); nullopt iff the halt condition holds.
-std::optional<ClassId> ReferenceOptimalPick(const InferenceState& state,
-                                            uint64_t node_budget = 5'000'000);
+std::optional<core::ClassId> ReferenceOptimalPick(
+    const core::InferenceState& state, uint64_t node_budget = 5'000'000);
 
 /// The seed adversary: worst-case interactions of `strategy` on `index`
 /// over all consistent goal behaviors, unmemoized copy-per-node play.
-size_t ReferenceWorstCaseInteractions(const SignatureIndex& index,
-                                      Strategy& strategy,
+size_t ReferenceWorstCaseInteractions(const core::SignatureIndex& index,
+                                      core::Strategy& strategy,
                                       uint64_t node_budget = 5'000'000);
 
-}  // namespace core
+}  // namespace testing
 }  // namespace jinfer
 
-#endif  // JINFER_CORE_STRATEGIES_MINIMAX_REFERENCE_H_
+#endif  // JINFER_TESTS_TESTING_MINIMAX_REFERENCE_H_
